@@ -1,6 +1,6 @@
 """Generate a dataset, run the whole pipeline, score it against truth.
 
-Run: python3 demos/06_full_pipeline.py [--seed N] [--workers N]
+Run: python3 demos/06_full_pipeline.py [--seed N]
 """
 
 import argparse
@@ -16,7 +16,6 @@ from tripsift.synth import SynthSpec, generate_dataset
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     base = Path(tempfile.mkdtemp(prefix="tripsift_demo_"))
@@ -26,7 +25,7 @@ def main() -> None:
 
     config = AnalysisConfig(alpha=0.0, rng_seed=args.seed)
     result = run_pipeline(data.nodes_path, data.segments_path, data.trips_path,
-                          base / "run", config, workers=args.workers)
+                          base / "run", config)
     print(f"pipeline counts: {result.counts}")
     print(f"contamination threshold: {result.contamination_threshold:.4f}")
     print()

@@ -8,7 +8,7 @@ isolation forest. Drivers are flagged from their per-trip scores.
 __version__ = "0.1.0"
 
 from .model import AnalysisConfig, RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint, Trip
-from .ingest import parse_road_network, parse_trips, segment_stream_into_trips
+from .ingest import parse_road_network, parse_trips
 from .matching import MatchRejected, MatchedTrip, match_trip
 from .tripgraph import TripGraph, build_trip_graph, detect_events
 from .features import FEATURE_NAMES, FeatureTable, extract_feature_table, extract_features
@@ -28,7 +28,6 @@ __all__ = [
     "Trip",
     "parse_road_network",
     "parse_trips",
-    "segment_stream_into_trips",
     "MatchRejected",
     "MatchedTrip",
     "match_trip",

@@ -3,8 +3,11 @@
 Subcommands: generate (synthetic dataset), pipeline (end to end),
 evaluate (against ground truth), plus match and score for debugging
 single stages. Every knob can also come from a flat key=value config
-file; explicit flags win. Every run writes a manifest.json recording
-inputs, parameters, and per-stage counts.
+file; explicit flags win. Each flag maps to a field of SynthSpec or
+AnalysisConfig (or a keyword of run_pipeline), which holds its type and
+default. Every run writes a manifest recording inputs, parameters, and
+per-stage counts: manifest.json in the output directory, or
+<out stem>.manifest.json beside the metrics file for evaluate.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 empty
 pipeline, 4 evaluation mismatch, 1 unexpected failure.
@@ -15,28 +18,28 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .evaluate import DriverSetMismatch, confusion, metrics, read_truth, write_metrics_json
 from .features import read_feature_table
-from .iforest import load_model, save_model, score_vectors
-from .matching import MatchRejected, match_trip
-from .model import AnalysisConfig, Trip
-from .pipeline import EmptyPipelineError, run_pipeline
-from .scoring import (TripScore, aggregate_drivers, read_driver_classifications,
-                      score_trips, write_driver_report, write_trip_scores)
+from .iforest import load_model
+from .matching import MatchRejected
+from .model import AnalysisConfig
+from .pipeline import (EmptyPipelineError, ingest_inputs, match_all, run_pipeline,
+                       score_and_write)
+from .scoring import read_driver_classifications
 from .synth import SynthSpec, generate_dataset
-from .ingest import parse_road_network, parse_trips
-from .tripgraph import build_trip_graph, detect_events, write_matrix_csv
+from .tripgraph import build_trip_graph, write_matrix_csv
 
 log = logging.getLogger(__name__)
 
@@ -46,55 +49,60 @@ EXIT_USAGE = 2
 EXIT_EMPTY = 3
 EXIT_MISMATCH = 4
 
-# option name -> (type, default); shared by flags and config files
-GENERATE_OPTIONS: dict[str, tuple[type, Any]] = {
-    "seed": (int, 0),
-    "rows": (int, 6),
-    "cols": (int, 6),
-    "spacing": (float, 500.0),
-    "drivers": (int, 18),
-    "trips_per_driver": (int, 20),
-    "abnormal_fraction": (float, 3 / 18),
-    "injection_rate": (float, 0.5),
-    "loop_prob": (float, 0.25),
-    "detour_prob": (float, 0.25),
-    "brake_burst_prob": (float, 0.25),
-    "accel_burst_prob": (float, 0.25),
-    "base_speed": (float, 12.0),
-}
+# option name -> (parameter it sets, type, default); shared by flags and config files
+Option = tuple[str, type, Any]
 
-PIPELINE_OPTIONS: dict[str, tuple[type, Any]] = {
-    "alpha": (float, 0.0),
-    "seed": (int, 0),
-    "trip_threshold": (float, 0.6),
-    "contamination": (float, 0.2),
-    "top_fraction": (float, 0.2),
-    "trees": (int, 100),
-    "subsample": (int, 256),
-    "max_snap": (float, 50.0),
-    "min_matched_fraction": (float, 0.8),
-    "accel_threshold": (float, 3.0),
-    "workers": (int, 1),
-    "per_category": (bool, False),
-    "save_model": (bool, False),
-}
 
-MATCH_OPTIONS: dict[str, tuple[type, Any]] = {
-    "max_snap": (float, 50.0),
-    "min_matched_fraction": (float, 0.8),
-    "accel_threshold": (float, 3.0),
-}
+def _options(owner: Callable, params: dict[str, str]) -> dict[str, Option]:
+    """Options for the named parameters of owner (a config dataclass or a
+    function), with types and defaults read off its signature."""
+    hints = get_type_hints(owner)
+    signature = inspect.signature(owner).parameters
+    return {name: (param, hints[param], signature[param].default)
+            for name, param in params.items()}
 
-SCORE_OPTIONS: dict[str, tuple[type, Any]] = {
-    "seed": (int, 0),
-    "trees": (int, 100),
-    "subsample": (int, 256),
-    "trip_threshold": (float, 0.6),
-    "contamination": (float, 0.2),
-    "top_fraction": (float, 0.2),
-    "per_category": (bool, False),
-    "save_model": (bool, False),
-}
+
+GENERATE_OPTIONS = _options(SynthSpec, {
+    "seed": "rng_seed",
+    "rows": "rows",
+    "cols": "cols",
+    "spacing": "spacing_m",
+    "drivers": "n_drivers",
+    "trips_per_driver": "trips_per_driver",
+    "abnormal_fraction": "abnormal_driver_fraction",
+    "injection_rate": "injection_rate",
+    "loop_prob": "loop_prob",
+    "detour_prob": "detour_prob",
+    "brake_burst_prob": "brake_burst_prob",
+    "accel_burst_prob": "accel_burst_prob",
+    "base_speed": "base_speed_mps",
+})
+
+ANALYSIS_OPTIONS = _options(AnalysisConfig, {
+    "alpha": "alpha",
+    "seed": "rng_seed",
+    "trip_threshold": "trip_score_threshold",
+    "contamination": "contamination",
+    "top_fraction": "top_fraction",
+    "trees": "n_trees",
+    "subsample": "subsample_size",
+    "max_snap": "max_snap_distance_m",
+    "min_matched_fraction": "min_matched_fraction",
+    "accel_threshold": "hard_event_accel_threshold",
+})
+
+PIPELINE_OPTIONS = {**ANALYSIS_OPTIONS, **_options(run_pipeline, {
+    "workers": "workers",
+    "per_category": "per_category",
+    "save_model": "save_model_json",
+})}
+
+MATCH_OPTIONS = {name: PIPELINE_OPTIONS[name]
+                 for name in ("max_snap", "min_matched_fraction", "accel_threshold")}
+
+SCORE_OPTIONS = {name: PIPELINE_OPTIONS[name]
+                 for name in ("seed", "trees", "subsample", "trip_threshold", "contamination",
+                              "top_fraction", "per_category", "save_model")}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -121,14 +129,14 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def resolve_options(args: argparse.Namespace, options: dict[str, tuple[type, Any]]) -> dict[str, Any]:
+def resolve_options(args: argparse.Namespace, options: dict[str, Option]) -> dict[str, Any]:
     """Merge flag values over config-file values over defaults."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(file_cfg) - set(options))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     resolved: dict[str, Any] = {}
-    for name, (typ, default) in options.items():
+    for name, (_, typ, default) in options.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             resolved[name] = flag_value
@@ -142,8 +150,13 @@ def resolve_options(args: argparse.Namespace, options: dict[str, tuple[type, Any
     return resolved
 
 
-def _add_option_flags(parser: argparse.ArgumentParser, options: dict[str, tuple[type, Any]]) -> None:
-    for name, (typ, default) in options.items():
+def build_config(owner: Callable, options: dict[str, Option], vals: dict[str, Any]) -> Any:
+    """Call owner with the resolved values of those of its options present in vals."""
+    return owner(**{param: vals[name] for name, (param, _, _) in options.items() if name in vals})
+
+
+def _add_option_flags(parser: argparse.ArgumentParser, options: dict[str, Option]) -> None:
+    for name, (_, typ, default) in options.items():
         flag = "--" + name.replace("_", "-")
         if typ is bool:
             parser.add_argument(flag, action="store_true", default=None,
@@ -151,21 +164,6 @@ def _add_option_flags(parser: argparse.ArgumentParser, options: dict[str, tuple[
         else:
             parser.add_argument(flag, type=typ, default=None, metavar=name.upper(),
                                 help=f"(default {default})")
-
-
-def _analysis_config(vals: dict[str, Any]) -> AnalysisConfig:
-    return AnalysisConfig(
-        alpha=vals.get("alpha", 0.0),
-        rng_seed=vals.get("seed", 0),
-        trip_score_threshold=vals.get("trip_threshold", 0.6),
-        contamination=vals.get("contamination", 0.2),
-        top_fraction=vals.get("top_fraction", 0.2),
-        n_trees=vals.get("trees", 100),
-        subsample_size=vals.get("subsample", 256),
-        max_snap_distance_m=vals.get("max_snap", 50.0),
-        min_matched_fraction=vals.get("min_matched_fraction", 0.8),
-        hard_event_accel_threshold=vals.get("accel_threshold", 3.0),
-    )
 
 
 def _network_paths(args: argparse.Namespace) -> tuple[Path, Path]:
@@ -249,21 +247,7 @@ class _ManifestWriter:
 def cmd_generate(args: argparse.Namespace) -> int:
     vals = resolve_options(args, GENERATE_OPTIONS)
     out = Path(args.out)
-    spec = SynthSpec(
-        rows=vals["rows"],
-        cols=vals["cols"],
-        spacing_m=vals["spacing"],
-        n_drivers=vals["drivers"],
-        trips_per_driver=vals["trips_per_driver"],
-        abnormal_driver_fraction=vals["abnormal_fraction"],
-        injection_rate=vals["injection_rate"],
-        loop_prob=vals["loop_prob"],
-        detour_prob=vals["detour_prob"],
-        brake_burst_prob=vals["brake_burst_prob"],
-        accel_burst_prob=vals["accel_burst_prob"],
-        base_speed_mps=vals["base_speed"],
-        rng_seed=vals["seed"],
-    )
+    spec = build_config(SynthSpec, GENERATE_OPTIONS, vals)
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "generate", vals, []) as manifest:
         summary = generate_dataset(spec, out)
@@ -283,7 +267,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     nodes_path, segments_path = _network_paths(args)
     trips_path = Path(args.trips)
     out = Path(args.out)
-    config = _analysis_config(vals)
+    config = build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals)
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "pipeline", vals,
                          [nodes_path, segments_path, trips_path]) as manifest:
@@ -304,21 +288,14 @@ def cmd_match(args: argparse.Namespace) -> int:
     nodes_path, segments_path = _network_paths(args)
     trips_path = Path(args.trips)
     out = Path(args.out)
-    config = AnalysisConfig(
-        alpha=0.0,
-        max_snap_distance_m=vals["max_snap"],
-        min_matched_fraction=vals["min_matched_fraction"],
-        hard_event_accel_threshold=vals["accel_threshold"],
-    )
+    config = build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals)
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "match", vals,
                          [nodes_path, segments_path, trips_path]) as manifest:
-        network = parse_road_network(nodes_path, segments_path)
-        trips, report = parse_trips(trips_path)
-        if not report.has_event_columns:
-            trips = [Trip(t.driver_id, t.trip_id,
-                          detect_events(t.points, config.hard_event_accel_threshold))
-                     for t in trips]
+        manifest.stages = {}
+        network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
+                                               config, manifest.stages)
+        results = match_all(trips, network, config, manifest.stages)
         matrices_dir = out / "matrices"
         matrices_dir.mkdir(exist_ok=True)
         n_matched = 0
@@ -326,12 +303,10 @@ def cmd_match(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(["driver_id", "trip_id", "n_points", "n_matched",
                              "matched_fraction", "status"])
-            for trip in trips:
-                try:
-                    matched = match_trip(trip, network, config)
-                except MatchRejected as exc:
+            for trip, matched in zip(trips, results):
+                if isinstance(matched, MatchRejected):
                     writer.writerow([trip.driver_id, trip.trip_id, len(trip.points),
-                                     0, f"{exc.matched_fraction:.4f}", exc.reason])
+                                     0, f"{matched.matched_fraction:.4f}", matched.reason])
                     continue
                 graph = build_trip_graph(matched, network)
                 write_matrix_csv(graph, matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv")
@@ -347,30 +322,19 @@ def cmd_match(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     vals = resolve_options(args, SCORE_OPTIONS)
     out = Path(args.out)
-    config = _analysis_config(vals)
+    config = build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals)
     if args.model and vals["per_category"]:
         raise ValueError("--per-category requires fitting and cannot be used with --model")
     out.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.features)] + ([Path(args.model)] if args.model else [])
     with _ManifestWriter(out / "manifest.json", "score", vals, inputs) as manifest:
+        manifest.stages = {}
         table = read_feature_table(args.features)
-        if len(table) < 2:
-            raise EmptyPipelineError("fewer than 2 trips available to score")
-        if args.model:
-            model = load_model(args.model)
-            scores = score_vectors(model, table.to_matrix())
-            trip_scores = [
-                TripScore(driver_id=d, trip_id=t, score=float(s),
-                          abnormal=s >= config.trip_score_threshold)
-                for (d, t), s in zip(table.keys, scores)
-            ]
-        else:
-            trip_scores, model = score_trips(table, config, per_category=vals["per_category"])
-        reports = aggregate_drivers(trip_scores, config)
-        write_trip_scores(trip_scores, out / "trip_scores.csv")
-        write_driver_report(reports, out / "driver_report.csv")
-        if vals["save_model"]:
-            save_model(model, out / "model.json")
+        trip_scores, reports, _, _ = score_and_write(
+            table, config, out, [], manifest.stages,
+            per_category=vals["per_category"],
+            model=load_model(args.model) if args.model else None,
+            save_model_json=vals["save_model"])
         manifest.counts = {"trips_scored": len(trip_scores), "drivers": len(reports)}
         log.info("scored %d trips, %d drivers; outputs in %s", len(trip_scores), len(reports), out)
     return EXIT_OK
@@ -378,7 +342,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
-    with _ManifestWriter(out_path.parent / "manifest.json", "evaluate", {},
+    # beside the metrics, not manifest.json: that name belongs to the run being evaluated
+    with _ManifestWriter(out_path.with_name(out_path.stem + ".manifest.json"), "evaluate", {},
                          [Path(args.pred), Path(args.truth)]) as manifest:
         predicted = read_driver_classifications(args.pred)
         truth = read_truth(args.truth)
@@ -408,25 +373,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option_flags(p, GENERATE_OPTIONS)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("pipeline", help="run the full pipeline on a dataset")
-    p.add_argument("--network", help="directory holding nodes.csv and segments.csv")
-    p.add_argument("--nodes", help="nodes CSV (alternative to --network)")
-    p.add_argument("--segments", help="segments CSV (alternative to --network)")
-    p.add_argument("--trips", required=True, help="trajectory CSV")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="flat key=value config file")
-    _add_option_flags(p, PIPELINE_OPTIONS)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("match", help="debug map matching: per-trip matrices and match stats")
-    p.add_argument("--network", help="directory holding nodes.csv and segments.csv")
-    p.add_argument("--nodes", help="nodes CSV (alternative to --network)")
-    p.add_argument("--segments", help="segments CSV (alternative to --network)")
-    p.add_argument("--trips", required=True, help="trajectory CSV")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="flat key=value config file")
-    _add_option_flags(p, MATCH_OPTIONS)
-    p.set_defaults(func=cmd_match)
+    for name, help_text, options, func in (
+        ("pipeline", "run the full pipeline on a dataset", PIPELINE_OPTIONS, cmd_pipeline),
+        ("match", "debug map matching: per-trip matrices and match stats", MATCH_OPTIONS, cmd_match),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--network", help="directory holding nodes.csv and segments.csv")
+        p.add_argument("--nodes", help="nodes CSV (alternative to --network)")
+        p.add_argument("--segments", help="segments CSV (alternative to --network)")
+        p.add_argument("--trips", required=True, help="trajectory CSV")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", help="flat key=value config file")
+        _add_option_flags(p, options)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("score", help="debug scoring: read a feature table, write scores")
     p.add_argument("--features", required=True, help="feature table CSV")

@@ -77,7 +77,7 @@ class RoadNetwork:
 class AnalysisConfig:
     """Tunables for the end-to-end pipeline. All lengths meters, speeds m/s."""
 
-    alpha: float                              # min trip length; trips kept iff length > alpha
+    alpha: float = 0.0                        # min trip length; trips kept iff length > alpha
     rng_seed: int = 0
     trip_score_threshold: float = 0.6         # trip labeled abnormal iff score >= this
     contamination: float = 0.2                # diagnostic score-threshold quantile

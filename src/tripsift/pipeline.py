@@ -1,5 +1,11 @@
 """End-to-end batch pipeline: ingest, match, build graphs, score, report.
 
+The run is a chain of named stages that the match and score subcommands
+also call on their own: ingest_inputs (network and trips, with hard
+events derived when the file has none), match_all (every trip, results
+in input order) and score_and_write (forest scores, driver ranking,
+score files). Each stage adds its time to a stage_seconds dict.
+
 Outputs land in one directory: features.csv, trip_scores.csv,
 driver_report.csv, summary.json (and model.json on request). On any
 failure the partially written data files are removed; logging goes to
@@ -11,16 +17,16 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .features import FeatureTable, extract_feature_table, write_feature_table
 from .iforest import IForestModel, save_model, threshold_from_contamination
 from .ingest import IngestReport, parse_road_network, parse_trips
 from .matching import MatchedTrip, MatchRejected, match_trip
-from .model import AnalysisConfig, Trip
+from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
                       write_driver_report, write_trip_scores)
 from .tripgraph import build_trip_graph, detect_events, filter_by_min_length
@@ -60,6 +66,96 @@ class PipelineResult:
         }
 
 
+@contextmanager
+def _timed(stage_seconds: dict[str, float], stage: str) -> Iterator[None]:
+    """Add the time spent in the block to stage_seconds[stage]."""
+    t0 = time.perf_counter()
+    yield
+    stage_seconds[stage] = stage_seconds.get(stage, 0.0) + time.perf_counter() - t0
+
+
+def ingest_inputs(
+    nodes_path: Union[str, Path],
+    segments_path: Union[str, Path],
+    trips_path: Union[str, Path],
+    config: AnalysisConfig,
+    stage_seconds: dict[str, float],
+) -> tuple[RoadNetwork, list[Trip], IngestReport]:
+    """Read the network and the trips; derive hard events when the trip file has none."""
+    with _timed(stage_seconds, "ingest"):
+        network = parse_road_network(nodes_path, segments_path)
+        trips, report = parse_trips(trips_path)
+    log.info("ingest: %d points read, %d rejected, %d trips, %d segments",
+             report.n_points_read, report.n_points_rejected, report.n_trips,
+             len(network.segments))
+    with _timed(stage_seconds, "events"):
+        if not report.has_event_columns and trips:
+            log.info("no event columns in input; deriving hard events at %.1f m/s^2",
+                     config.hard_event_accel_threshold)
+            trips = [
+                Trip(t.driver_id, t.trip_id,
+                     detect_events(t.points, config.hard_event_accel_threshold))
+                for t in trips
+            ]
+    return network, trips, report
+
+
+def match_all(
+    trips: list[Trip],
+    network: RoadNetwork,
+    config: AnalysisConfig,
+    stage_seconds: dict[str, float],
+) -> list[Union[MatchedTrip, MatchRejected]]:
+    """Match every trip; each result is the matched trip or its rejection, in input order."""
+    results: list[Union[MatchedTrip, MatchRejected]] = []
+    with _timed(stage_seconds, "match"):
+        for trip in trips:
+            try:
+                results.append(match_trip(trip, network, config))
+            except MatchRejected as exc:
+                results.append(exc)
+    return results
+
+
+def score_and_write(
+    table: FeatureTable,
+    config: AnalysisConfig,
+    out: Path,
+    written: list[Path],
+    stage_seconds: dict[str, float],
+    per_category: bool = False,
+    model: Optional[IForestModel] = None,
+    save_model_json: bool = False,
+) -> tuple[list[TripScore], list[DriverReport], IForestModel, dict[str, Path]]:
+    """Score the trips (fitting a forest unless `model` is given), rank the
+    drivers, and write trip_scores.csv, driver_report.csv and, with
+    save_model_json, model.json into out. Each path is appended to
+    `written` before it is opened.
+
+    Raises:
+        EmptyPipelineError: fewer than 2 trips in the table.
+    """
+    if len(table) < 2:
+        raise EmptyPipelineError("fewer than 2 trips available to score")
+    with _timed(stage_seconds, "score"):
+        trip_scores, model = score_trips(table, config, per_category=per_category, model=model)
+        reports = aggregate_drivers(trip_scores, config)
+    log.info("score: %d trips, %d drivers, %d drivers classified abnormal",
+             len(trip_scores), len(reports), sum(1 for r in reports if r.abnormal))
+
+    with _timed(stage_seconds, "write"):
+        outputs = {"trip_scores": out / "trip_scores.csv",
+                   "driver_report": out / "driver_report.csv"}
+        if save_model_json:
+            outputs["model"] = out / "model.json"
+        written.extend(outputs.values())
+        write_trip_scores(trip_scores, outputs["trip_scores"])
+        write_driver_report(reports, outputs["driver_report"])
+        if save_model_json:
+            save_model(model, outputs["model"])
+    return trip_scores, reports, model, outputs
+
+
 def run_pipeline(
     nodes_path: Union[str, Path],
     segments_path: Union[str, Path],
@@ -72,8 +168,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the whole pipeline and write its outputs.
 
-    Matching can fan out over a thread pool (workers > 1); results are
-    reassembled in input order so output is byte-identical either way.
+    Trips are matched one after another. `workers` is accepted for
+    compatibility and ignored: the matcher is pure Python, and a thread
+    pool over it measured no faster.
 
     Raises:
         EmptyPipelineError: nothing survived to be scored.
@@ -83,7 +180,7 @@ def run_pipeline(
     written: list[Path] = []
     try:
         return _run(Path(nodes_path), Path(segments_path), Path(trips_path), out,
-                    config, per_category, workers, save_model_json, written)
+                    config, per_category, save_model_json, written)
     except BaseException:
         for path in written:
             try:
@@ -100,98 +197,45 @@ def _run(
     out: Path,
     config: AnalysisConfig,
     per_category: bool,
-    workers: int,
     save_model_json: bool,
     written: list[Path],
 ) -> PipelineResult:
     stage_seconds: dict[str, float] = {}
-    t0 = time.perf_counter()
-    network = parse_road_network(nodes_path, segments_path)
-    trips, report = parse_trips(trips_path)
-    stage_seconds["ingest"] = time.perf_counter() - t0
-    log.info("ingest: %d points read, %d rejected, %d trips, %d segments",
-             report.n_points_read, report.n_points_rejected, report.n_trips,
-             len(network.segments))
+    network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
+                                           config, stage_seconds)
     if not trips:
         raise EmptyPipelineError("no trips parsed from input")
 
-    t0 = time.perf_counter()
-    if not report.has_event_columns:
-        log.info("no event columns in input; deriving hard events at %.1f m/s^2",
-                 config.hard_event_accel_threshold)
-        trips = [
-            Trip(t.driver_id, t.trip_id,
-                 detect_events(t.points, config.hard_event_accel_threshold))
-            for t in trips
-        ]
-    stage_seconds["events"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-
-    def match_one(trip: Trip) -> Union[MatchedTrip, MatchRejected]:
-        try:
-            return match_trip(trip, network, config)
-        except MatchRejected as exc:
-            return exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(match_one, trips))
-    else:
-        results = [match_one(t) for t in trips]
+    results = match_all(trips, network, config, stage_seconds)
     matched = [r for r in results if isinstance(r, MatchedTrip)]
     rejections: dict[str, int] = {}
     for r in results:
         if isinstance(r, MatchRejected):
             rejections[r.reason] = rejections.get(r.reason, 0) + 1
             log.debug("match rejected (%s): driver %d trip %d", r.reason, r.driver_id, r.trip_id)
-    stage_seconds["match"] = time.perf_counter() - t0
     log.info("match: %d trips matched, %d rejected %s",
              len(matched), len(results) - len(matched), rejections or "")
     if not matched:
         raise EmptyPipelineError("no trips matched the network")
 
-    t0 = time.perf_counter()
-    graphs = [build_trip_graph(m, network) for m in matched]
-    kept, dropped = filter_by_min_length(graphs, config.alpha)
-    stage_seconds["graphs"] = time.perf_counter() - t0
+    with _timed(stage_seconds, "graphs"):
+        graphs = [build_trip_graph(m, network) for m in matched]
+        kept, dropped = filter_by_min_length(graphs, config.alpha)
     log.info("graphs: %d trips kept, %d below min length %.1f m",
              len(kept), len(dropped), config.alpha)
     if not kept:
         raise EmptyPipelineError(f"no trips pass the minimum length filter (alpha={config.alpha})")
-    if len(kept) < 2:
-        raise EmptyPipelineError("fewer than 2 trips available to score")
 
-    t0 = time.perf_counter()
-    table = extract_feature_table(kept)
-    stage_seconds["features"] = time.perf_counter() - t0
+    with _timed(stage_seconds, "features"):
+        table = extract_feature_table(kept)
 
-    t0 = time.perf_counter()
-    trip_scores, model = score_trips(table, config, per_category=per_category)
-    reports = aggregate_drivers(trip_scores, config)
+    trip_scores, reports, model, outputs = score_and_write(
+        table, config, out, written, stage_seconds,
+        per_category=per_category, save_model_json=save_model_json)
     threshold = threshold_from_contamination([ts.score for ts in trip_scores],
                                              config.contamination)
-    stage_seconds["score"] = time.perf_counter() - t0
-    log.info("score: %d trips, %d drivers, %d drivers classified abnormal",
-             len(trip_scores), len(reports), sum(1 for r in reports if r.abnormal))
-
-    t0 = time.perf_counter()
-    outputs: dict[str, Path] = {
-        "features": out / "features.csv",
-        "trip_scores": out / "trip_scores.csv",
-        "driver_report": out / "driver_report.csv",
-        "summary": out / "summary.json",
-    }
-    if save_model_json:
-        outputs["model"] = out / "model.json"
-    for path in outputs.values():
-        written.append(path)
-    write_feature_table(table, outputs["features"])
-    write_trip_scores(trip_scores, outputs["trip_scores"])
-    write_driver_report(reports, outputs["driver_report"])
-    if save_model_json:
-        save_model(model, outputs["model"])
-
+    outputs = {"features": out / "features.csv", **outputs, "summary": out / "summary.json"}
+    written += [outputs["features"], outputs["summary"]]
     result = PipelineResult(
         config=config,
         ingest_report=report,
@@ -206,8 +250,10 @@ def _run(
         stage_seconds=stage_seconds,
         outputs=outputs,
     )
-    _write_summary(result, outputs["summary"])
-    stage_seconds["write"] = time.perf_counter() - t0
+    # summary.json gets the stage times so far; these last writes reach only the manifest
+    with _timed(stage_seconds, "write"):
+        write_feature_table(table, outputs["features"])
+        _write_summary(result, outputs["summary"])
     return result
 
 
@@ -215,6 +261,7 @@ def _write_summary(result: PipelineResult, path: Path) -> None:
     doc = {
         "config": asdict(result.config),
         "counts": result.counts,
+        "stage_seconds": dict(result.stage_seconds),
         "match_rejections": result.match_rejections,
         "rejection_reasons": dict(result.ingest_report.rejection_reasons),
         "contamination_threshold": result.contamination_threshold,

@@ -51,16 +51,18 @@ class DriverReport:
 
 
 def score_trips(
-    table: FeatureTable, config: AnalysisConfig, per_category: bool = False
+    table: FeatureTable, config: AnalysisConfig, per_category: bool = False,
+    model: Optional[IForestModel] = None,
 ) -> tuple[list[TripScore], IForestModel]:
     """Score every trip in the table with one forest over all vectors.
 
+    The forest is fitted on the table unless a fitted `model` is given.
     A trip is abnormal iff score >= config.trip_score_threshold. With
     per_category, one additional forest is fitted per feature group on
     that group's dimensions, seeded with rng_seed XOR group index.
 
     Returns:
-        (scores in table order, the fitted full-feature model)
+        (scores in table order, the full-feature model)
 
     Raises:
         ValueError: fewer than 2 trips.
@@ -68,8 +70,9 @@ def score_trips(
     if len(table) < 2:
         raise ValueError("insufficient trips: need at least 2 to score")
     X = table.to_matrix()
-    model = fit(X, n_trees=config.n_trees, subsample_size=config.subsample_size,
-                rng_seed=config.rng_seed)
+    if model is None:
+        model = fit(X, n_trees=config.n_trees, subsample_size=config.subsample_size,
+                    rng_seed=config.rng_seed)
     scores = score_vectors(model, X)
 
     category_scores: dict[str, list[float]] = {}

@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, config precedence, manifests, outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tripsift.cli import main
+import tripsift
+from tripsift.cli import (ANALYSIS_OPTIONS, GENERATE_OPTIONS, MATCH_OPTIONS, PIPELINE_OPTIONS,
+                          SCORE_OPTIONS, build_config, build_parser, main, resolve_options)
+from tripsift.model import AnalysisConfig
+from tripsift.synth import SynthSpec
 
 GEN_ARGS = ["--rows", "4", "--cols", "4", "--drivers", "4",
             "--trips-per-driver", "3", "--abnormal-fraction", "0.25", "--seed", "5"]
@@ -178,3 +184,45 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tripsift" in proc.stdout
+
+
+def test_no_flags_resolve_to_dataclass_defaults():
+    parser = build_parser()
+    gen = resolve_options(parser.parse_args(["generate", "--out", "d"]), GENERATE_OPTIONS)
+    assert build_config(SynthSpec, GENERATE_OPTIONS, gen) == SynthSpec()
+    for command, options in (("pipeline", PIPELINE_OPTIONS), ("match", MATCH_OPTIONS)):
+        args = parser.parse_args([command, "--trips", "t.csv", "--out", "o"])
+        vals = resolve_options(args, options)
+        assert build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals) == AnalysisConfig(alpha=0.0)
+    args = parser.parse_args(["score", "--features", "f.csv", "--out", "o"])
+    vals = resolve_options(args, SCORE_OPTIONS)
+    assert build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals) == AnalysisConfig(alpha=0.0)
+    assert (vals["per_category"], vals["save_model"]) == (False, False)
+
+
+def test_quick_start_keeps_pipeline_manifest(tmp_path, monkeypatch, capsys):
+    # the three README quick-start commands, verbatim
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--out", "data"]) == 0
+    assert main(["pipeline", "--network", "data", "--trips", "data/trips.csv", "--out", "run"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", "run/driver_report.csv", "--truth", "data/truth.csv",
+                 "--out", "run/metrics.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "accuracy 0.9444", "precision 0.7500", "recall 1.0000", "f1 0.8571"]
+    assert json.loads(Path("run/manifest.json").read_text())["command"] == "pipeline"
+    evaluated = json.loads(Path("run/metrics.manifest.json").read_text())
+    assert evaluated["command"] == "evaluate"
+    assert evaluated["outcome"] == "success"
+
+
+def test_no_resource_warnings(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(tripsift.__file__).parents[1])}
+    base = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "tripsift"]
+    data = tmp_path / "data"
+    for argv in (["generate", "--out", str(data)] + GEN_ARGS,
+                 ["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
+                  "--out", str(tmp_path / "run")]):
+        proc = subprocess.run(base + argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr

@@ -1,12 +1,16 @@
 """Reader behavior: strict network validation, row-level trip rejection."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripsift.ingest import (
-    DEFAULT_GAP_THRESHOLD_S,
     parse_road_network,
     parse_trips,
-    segment_stream_into_trips,
     write_network,
     write_trips,
 )
@@ -203,29 +207,6 @@ def test_parse_trips_empty_file(tmp_path):
         parse_trips(path)
 
 
-def make_point(driver, trip, pid, ts):
-    return TrajectoryPoint(driver, trip, pid, ts, 40.0, -86.0 + pid * 1e-4, 10.0, 90.0)
-
-
-def test_segment_stream_splits_on_gap():
-    pts = [make_point(1, 0, i, ts) for i, ts in enumerate([0, 10, 20, 400, 410, 420])]
-    trips = segment_stream_into_trips(pts, gap_threshold_s=300.0)
-    assert [(t.trip_id, len(t.points)) for t in trips] == [(1, 3), (2, 3)]
-    assert all(p.trip_id == 1 for p in trips[0].points)
-
-
-def test_segment_stream_gap_equal_threshold_no_split():
-    pts = [make_point(1, 0, i, ts) for i, ts in enumerate([0, 300, 600])]
-    trips = segment_stream_into_trips(pts, gap_threshold_s=300.0)
-    assert len(trips) == 1 and len(trips[0].points) == 3
-
-
-def test_segment_stream_drops_singletons():
-    pts = [make_point(1, 0, i, ts) for i, ts in enumerate([0, 10, 1000, 2000, 2010])]
-    trips = segment_stream_into_trips(pts, gap_threshold_s=DEFAULT_GAP_THRESHOLD_S)
-    assert [(t.trip_id, len(t.points)) for t in trips] == [(1, 2), (2, 2)]
-
-
 def test_write_trips_roundtrip(tmp_path):
     pts = [
         TrajectoryPoint(3, 7, 0, 1000, 40.123456789, -86.000000123, 12.5, 359.25, 0, 1),
@@ -245,3 +226,65 @@ def test_write_network_roundtrip(tmp_path, network_paths):
     again = parse_road_network(nodes_out, segments_out)
     assert again.nodes == net.nodes
     assert again.segments == net.segments
+
+
+# reason codes documented in parse_trips
+REASON_CODES = {
+    "bad_field_count", "non_numeric", "lat_out_of_range", "lon_out_of_range",
+    "speed_out_of_range", "direction_out_of_range", "negative_event_count",
+    "duplicate_timestamp", "trip_too_short",
+}
+
+GARBAGE_FIELD = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=8),
+    st.sampled_from(["", "nan", "inf", "-inf", "-1", "1e400", "360", "-0.5", "95", "-186", "1.5"]),
+)
+
+
+def valid_rows(with_events):
+    fields = [st.integers(1, 3), st.integers(1, 2), st.integers(0, 50), st.integers(0, 20),
+              st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.floats(0.0, 60.0),
+              st.floats(0.0, 360.0, exclude_max=True)]
+    if with_events:
+        fields += [st.integers(0, 3), st.integers(0, 3)]
+    return st.tuples(*fields).map(lambda row: [repr(v) for v in row])
+
+
+def malformed_rows(valid):
+    return st.one_of(
+        # one field replaced (an index past the end appends an extra field)
+        st.tuples(valid, st.integers(0, 10), GARBAGE_FIELD).map(
+            lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),
+        # truncated
+        valid.flatmap(lambda row: st.integers(1, len(row) - 1).map(lambda n: row[:n])),
+        st.lists(GARBAGE_FIELD, min_size=1, max_size=12),
+    )
+
+
+@st.composite
+def trip_files(draw):
+    with_events = draw(st.booleans())
+    valid = valid_rows(with_events)
+    rows = draw(st.lists(st.one_of(valid, malformed_rows(valid)), max_size=40))
+    return with_events, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(trip_files())
+def test_parse_trips_random_rows_never_raise(case):
+    with_events, rows = case
+    header = TRIP_HEADER.strip().split(",") + (["hard_accel", "hard_brake"] if with_events else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        trips, report = parse_trips(path)
+    accepted = sum(len(t.points) for t in trips)
+    assert report.n_points_read == len(rows)
+    assert report.n_points_read == accepted + report.n_points_rejected
+    assert report.n_points_accepted == accepted
+    assert sum(report.rejection_reasons.values()) == report.n_points_rejected
+    assert set(report.rejection_reasons) <= REASON_CODES
+    assert report.n_trips == len(trips)

@@ -40,6 +40,11 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     assert len(summary["trips"]) == n_trips
     assert len(summary["drivers"]) == small_dataset.n_drivers
     assert summary["config"]["alpha"] == 0.0
+    # the same timings as the manifest, less the summary's own write
+    stages = summary["stage_seconds"]
+    assert set(stages) == {"ingest", "events", "match", "graphs", "features", "score", "write"}
+    assert all(stages[k] == result.stage_seconds[k] for k in stages if k != "write")
+    assert stages["write"] <= result.stage_seconds["write"]
 
     # contamination diagnostic matches an independent recomputation
     scores = [t["score"] for t in summary["trips"]]
