@@ -41,11 +41,12 @@ def main() -> None:
 
     config = AnalysisConfig(alpha=0.0)
     matched = match_trip(trip, world.network, config)
-    snaps = [p.snap_distance_m for p in matched.points]
+    snaps = [nearest_segment(p.lat, p.lon, world.network, config.max_snap_distance_m).distance_m
+             for p in matched.points]
     print(f"matched fraction: {matched.matched_fraction:.3f}")
     print(f"snap distance:    median {np.median(snaps):.2f} m, max {max(snaps):.2f} m")
 
-    segs = sorted({p.segment_id for p in matched.points})
+    segs = sorted({segment_id for segment_id, _ in matched.edges})
     print(f"segments visited: {segs}")
 
     # single-point lookups work without a trip

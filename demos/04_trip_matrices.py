@@ -24,11 +24,11 @@ def show(world, planned, label: str):
     print(f"--- {label} ---")
     print(f"node path: {planned.node_path}")
     print(f"{'seg':>4s} {'dir':>4s} {'visits':>7s} {'len_m':>8s} {'speed':>6s}")
-    for row in graph.matrix.rows:
+    for row in graph.rows:
         print(f"{row.segment_id:4d} {row.direction:+4d} {row.n_traversals:7d} "
               f"{row.length_m:8.1f} {row.avg_speed_mps:6.2f}")
     print(f"trip length {graph.trip_length_m:.0f} m, "
-          f"net displacement {graph.matrix.net_displacement_m:.0f} m")
+          f"net displacement {graph.net_displacement_m:.0f} m")
     return extract_features(graph)
 
 

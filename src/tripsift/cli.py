@@ -155,15 +155,21 @@ def build_config(owner: Callable, options: dict[str, Option], vals: dict[str, An
     return owner(**{param: vals[name] for name, (param, _, _) in options.items() if name in vals})
 
 
+# help text for options whose default alone does not explain them
+OPTION_NOTES = {"workers": "ignored, kept for compatibility"}
+
+
 def _add_option_flags(parser: argparse.ArgumentParser, options: dict[str, Option]) -> None:
     for name, (_, typ, default) in options.items():
         flag = "--" + name.replace("_", "-")
+        help_text = f"(default {default})"
+        if name in OPTION_NOTES:
+            help_text = f"{OPTION_NOTES[name]} {help_text}"
         if typ is bool:
-            parser.add_argument(flag, action="store_true", default=None,
-                                help=f"(default {default})")
+            parser.add_argument(flag, action="store_true", default=None, help=help_text)
         else:
             parser.add_argument(flag, type=typ, default=None, metavar=name.upper(),
-                                help=f"(default {default})")
+                                help=help_text)
 
 
 def _network_paths(args: argparse.Namespace) -> tuple[Path, Path]:
@@ -306,7 +312,8 @@ def cmd_match(args: argparse.Namespace) -> int:
             for trip, matched in zip(trips, results):
                 if isinstance(matched, MatchRejected):
                     writer.writerow([trip.driver_id, trip.trip_id, len(trip.points),
-                                     0, f"{matched.matched_fraction:.4f}", matched.reason])
+                                     matched.n_matched, f"{matched.matched_fraction:.4f}",
+                                     matched.reason])
                     continue
                 graph = build_trip_graph(matched, network)
                 write_matrix_csv(graph, matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv")

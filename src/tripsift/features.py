@@ -18,19 +18,6 @@ import numpy as np
 from .geo import circular_diff_deg
 from .tripgraph import TripGraph
 
-FEATURE_NAMES = [
-    "displacement_ratio",           # f1: net displacement / trip length, in [0, 1]
-    "repetition_ratio",             # f2: traversals per distinct directed edge, >= 1
-    "revisited_edge_fraction",      # f3: fraction of edges traversed more than once
-    "turn_density",                 # f4: summed course change (deg) per km
-    "direction_circular_variance",  # f5: 1 - resultant length of point courses
-    "brakes_per_km",                # f6
-    "max_edge_brakes",              # f7
-    "accels_per_km",                # f8
-    "max_edge_accels",              # f9
-    "mean_speed",                   # f10: point-weighted, m/s
-]
-
 # dimension indices (0-based) per group; order matters for seeding
 FEATURE_GROUPS: dict[str, tuple[int, ...]] = {
     "direction": (0, 1, 2, 3, 4),
@@ -44,16 +31,16 @@ FEATURE_TABLE_COLUMNS = ["driver_id", "trip_id"] + [f"f{i}" for i in range(1, 11
 
 @dataclass(frozen=True)
 class FeatureVector:
-    displacement_ratio: float
-    repetition_ratio: float
-    revisited_edge_fraction: float
-    turn_density: float
-    direction_circular_variance: float
-    brakes_per_km: float
-    max_edge_brakes: float
-    accels_per_km: float
-    max_edge_accels: float
-    mean_speed: float
+    displacement_ratio: float           # f1: net displacement / trip length, in [0, 1]
+    repetition_ratio: float             # f2: traversals per distinct directed edge, >= 1
+    revisited_edge_fraction: float      # f3: fraction of edges traversed more than once
+    turn_density: float                 # f4: summed course change (deg) per km
+    direction_circular_variance: float  # f5: 1 - resultant length of point courses
+    brakes_per_km: float                # f6
+    max_edge_brakes: float              # f7
+    accels_per_km: float                # f8
+    max_edge_accels: float              # f9
+    mean_speed: float                   # f10: point-weighted, m/s
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
@@ -63,6 +50,9 @@ class FeatureVector:
         if len(values) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
         return cls(*[float(v) for v in values])
+
+
+FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
 
 
 @dataclass
@@ -85,22 +75,19 @@ def extract_features(graph: TripGraph) -> FeatureVector:
     Raises:
         ValueError: degenerate trip (non-positive length).
     """
-    matrix = graph.matrix
-    if matrix.trip_length_m <= 0.0:
+    if graph.trip_length_m <= 0.0:
         raise ValueError(f"degenerate trip ({graph.driver_id},{graph.trip_id}): non-positive length")
-    rows = matrix.rows
-    km = matrix.trip_length_m / 1000.0
+    rows = graph.rows
+    km = graph.trip_length_m / 1000.0
 
     turn_sum = 0.0
     seq = graph.traversal_sequence
     for a, b in zip(seq, seq[1:]):
-        dir_a = rows[graph.row_index[a]].avg_direction_deg
-        dir_b = rows[graph.row_index[b]].avg_direction_deg
-        turn_sum += circular_diff_deg(dir_a, dir_b)
+        turn_sum += circular_diff_deg(rows[a].avg_direction_deg, rows[b].avg_direction_deg)
 
     n_points = sum(r.n_points for r in rows)
     return FeatureVector(
-        displacement_ratio=min(1.0, matrix.net_displacement_m / matrix.trip_length_m),
+        displacement_ratio=min(1.0, graph.net_displacement_m / graph.trip_length_m),
         repetition_ratio=sum(r.n_traversals for r in rows) / len(rows),
         revisited_edge_fraction=sum(1 for r in rows if r.n_traversals >= 2) / len(rows),
         turn_density=turn_sum / km,

@@ -210,20 +210,41 @@ def save_model(model: IForestModel, path: str | Path) -> None:
         json.dump(doc, fh, separators=(",", ":"))
 
 
+def _check_tree(nodes: list, n_features: int) -> None:
+    """Raise ValueError unless nodes is a tree _path_length can walk to a leaf.
+
+    Children must sit after their parent, so every walk ends.
+    """
+    if not isinstance(nodes, list) or not nodes:
+        raise ValueError("tree is not a non-empty list of nodes")
+    for idx, node in enumerate(nodes):
+        if node[0] < 0:
+            if len(node) != 3 or not (node[1] >= 0 and node[2] >= 0):
+                raise ValueError(f"node {idx}: leaf needs [-1, size >= 0, depth >= 0]")
+        elif len(node) != 4 or not node[0] < n_features:
+            raise ValueError(f"node {idx}: internal node needs [dim < {n_features}, split, "
+                             "left, right]")
+        elif not all(isinstance(c, int) and idx < c < len(nodes) for c in node[2:]):
+            raise ValueError(f"node {idx}: children must lie after it and inside the tree")
+
+
 def load_model(path: str | Path) -> IForestModel:
-    """Load a model serialized by save_model.
+    """Load a model serialized by save_model, checking that it can score.
 
     Raises:
-        ValueError: unknown format version or malformed document.
+        ValueError: unknown format version or malformed document (missing
+            keys, a tree count other than n_trees, a non-positive c_psi,
+            or a tree with an out-of-range split dimension, child index,
+            leaf size or leaf depth).
     """
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("version")
+    version = doc.get("version") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model version {version!r}, expected {MODEL_FORMAT_VERSION}")
     try:
         params = doc["params"]
-        return IForestModel(
+        model = IForestModel(
             n_trees=int(params["n_trees"]),
             subsample_size=int(params["subsample_size"]),
             rng_seed=int(params["rng_seed"]),
@@ -235,3 +256,15 @@ def load_model(path: str | Path) -> IForestModel:
         )
     except KeyError as exc:
         raise ValueError(f"malformed model document: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model document: {exc}") from None
+    if not isinstance(model.trees, list) or model.n_trees < 1 or len(model.trees) != model.n_trees:
+        raise ValueError("malformed model document: trees must list n_trees >= 1 trees")
+    if not model.c_psi > 0.0:
+        raise ValueError(f"malformed model document: c_psi {model.c_psi} is not positive")
+    for i, nodes in enumerate(model.trees):
+        try:
+            _check_tree(nodes, model.n_features)
+        except (ValueError, TypeError, IndexError, KeyError) as exc:
+            raise ValueError(f"malformed model document: tree {i}: {exc}") from None
+    return model

@@ -1,5 +1,9 @@
 """Map matching: snap GPS points onto nearby road segments.
 
+A matched trip keeps the points that snapped, the directed edge key
+(segment_id, direction) of each, and the snap results of its first and
+last matched points; nearest_segment answers single-point queries.
+
 Candidate lookup runs on a uniform grid keyed by a fixed equirectangular
 projection of the network's bounding box; exact distances are computed
 per query with a projection anchored at the query point, treating each
@@ -33,35 +37,37 @@ class SnapResult:
     lon: float
 
 
-@dataclass(frozen=True)
-class MatchedPoint:
-    """One GPS point snapped to a directed edge of the network."""
-
-    point: TrajectoryPoint
-    segment_id: int
-    direction: int            # +1 with segment orientation, -1 against
-    snap_distance_m: float
-    lat: float                # projected position on the segment
-    lon: float
+EdgeKey = tuple[int, int]  # (segment_id, direction): +1 with segment orientation, -1 against
 
 
 @dataclass
 class MatchedTrip:
+    """The points of a trip that snapped, each with its directed edge key.
+
+    edges[i] is the key of points[i]; first_snap and last_snap are the
+    snap results of the first and last of those points.
+    """
+
     driver_id: int
     trip_id: int
-    points: list[MatchedPoint]
+    points: list[TrajectoryPoint]
+    edges: list[EdgeKey]
+    first_snap: SnapResult
+    last_snap: SnapResult
     matched_fraction: float
 
 
 class MatchRejected(Exception):
     """Trip could not be matched well enough to keep."""
 
-    def __init__(self, reason: str, driver_id: int, trip_id: int, matched_fraction: float):
+    def __init__(self, reason: str, driver_id: int, trip_id: int, n_matched: int,
+                 matched_fraction: float):
         super().__init__(f"trip ({driver_id},{trip_id}) rejected: {reason} "
                          f"(matched fraction {matched_fraction:.3f})")
         self.reason = reason
         self.driver_id = driver_id
         self.trip_id = trip_id
+        self.n_matched = n_matched
         self.matched_fraction = matched_fraction
 
 
@@ -238,7 +244,9 @@ def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> Matc
         MatchRejected: reason "empty_match" or "poor_match".
     """
     bearings: dict[int, float] = {}
-    matched: list[MatchedPoint] = []
+    points: list[TrajectoryPoint] = []
+    edges: list[EdgeKey] = []
+    first_snap = last_snap = None
     for p in trip.points:
         snap = nearest_segment(p.lat, p.lon, network, config.max_snap_distance_m)
         if snap is None:
@@ -248,18 +256,16 @@ def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> Matc
             a, b = network.segment_endpoints(snap.segment_id)
             bearing = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
             bearings[snap.segment_id] = bearing
-        matched.append(MatchedPoint(
-            point=p,
-            segment_id=snap.segment_id,
-            direction=travel_direction(p.cog_deg, bearing),
-            snap_distance_m=snap.distance_m,
-            lat=snap.lat,
-            lon=snap.lon,
-        ))
+        points.append(p)
+        edges.append((snap.segment_id, travel_direction(p.cog_deg, bearing)))
+        if first_snap is None:
+            first_snap = snap
+        last_snap = snap
 
-    fraction = len(matched) / len(trip.points)
-    if not matched:
-        raise MatchRejected("empty_match", trip.driver_id, trip.trip_id, fraction)
+    fraction = len(points) / len(trip.points)
+    if not points:
+        raise MatchRejected("empty_match", trip.driver_id, trip.trip_id, 0, fraction)
     if fraction < config.min_matched_fraction:
-        raise MatchRejected("poor_match", trip.driver_id, trip.trip_id, fraction)
-    return MatchedTrip(trip.driver_id, trip.trip_id, matched, fraction)
+        raise MatchRejected("poor_match", trip.driver_id, trip.trip_id, len(points), fraction)
+    return MatchedTrip(trip.driver_id, trip.trip_id, points, edges, first_snap, last_snap,
+                       fraction)

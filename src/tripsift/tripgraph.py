@@ -1,10 +1,12 @@
 """Edge-attributed trip matrices.
 
-A matched trip becomes a directed multigraph over the road network:
-one row per (segment_id, direction) key, carrying averaged speed and
-direction, the segment length, hard-event totals, and traversal
-counts. A traversal is a maximal consecutive run of points on the
-same directed edge.
+A matched trip becomes its Edge-Attributed Matrix, a TripGraph: one
+row per (segment_id, direction) key in order of first traversal,
+carrying averaged speed and direction, the segment length, hard-event
+totals, and traversal counts, plus the trip's length, net displacement,
+course resultant and traversal sequence. A traversal is a maximal
+consecutive run of points on the same directed edge; the sequence
+lists the row index of each traversal in time order.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .geo import circular_mean_deg, haversine_m, mean_resultant_length
-from .matching import MatchedTrip
+from .matching import EdgeKey, MatchedTrip
 from .model import TrajectoryPoint
-
-EdgeKey = tuple[int, int]  # (segment_id, direction)
 
 MATRIX_CSV_COLUMNS = [
     "segment_id", "direction", "avg_speed_mps", "avg_dir_deg",
@@ -40,28 +40,16 @@ class EdgeAttributeRow:
 
 
 @dataclass
-class EdgeAttributedMatrix:
+class TripGraph:
+    """One trip's Edge-Attributed Matrix and its trip-wide statistics."""
+
     driver_id: int
     trip_id: int
-    rows: list[EdgeAttributeRow]
+    rows: list[EdgeAttributeRow]        # in order of first traversal
     trip_length_m: float
     net_displacement_m: float
-
-
-@dataclass
-class TripGraph:
-    """Matrix plus the traversal order and the trip-wide course statistics."""
-
-    driver_id: int
-    trip_id: int
-    matrix: EdgeAttributedMatrix
-    row_index: dict[EdgeKey, int]
-    traversal_sequence: list[EdgeKey]   # one entry per maximal run, in time order
+    traversal_sequence: list[int]       # row index of each maximal run, in time order
     cog_resultant: float                # mean resultant length of all point courses
-
-    @property
-    def trip_length_m(self) -> float:
-        return self.matrix.trip_length_m
 
 
 def detect_events(
@@ -102,71 +90,56 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
     if not matched.points:
         raise ValueError(f"trip ({matched.driver_id},{matched.trip_id}) has no matched points")
 
-    order: list[EdgeKey] = []
-    speeds: dict[EdgeKey, float] = {}
-    cogs: dict[EdgeKey, list[float]] = {}
-    brakes: dict[EdgeKey, int] = {}
-    accels: dict[EdgeKey, int] = {}
-    counts: dict[EdgeKey, int] = {}
-    runs: dict[EdgeKey, int] = {}
-    sequence: list[EdgeKey] = []
+    index: dict[EdgeKey, int] = {}
+    rows: list[EdgeAttributeRow] = []
+    speed_sums: list[float] = []
+    cogs: list[list[float]] = []
+    sequence: list[int] = []
+    for p, key in zip(matched.points, matched.edges):
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(rows)
+            rows.append(EdgeAttributeRow(
+                segment_id=key[0],
+                direction=key[1],
+                avg_speed_mps=0.0,          # set from speed_sums below
+                avg_direction_deg=0.0,      # set from cogs below
+                length_m=network.segments[key[0]].length_m,
+                n_hard_brakes=0,
+                n_hard_accels=0,
+                n_traversals=0,
+                n_points=0,
+            ))
+            speed_sums.append(0.0)
+            cogs.append([])
+        row = rows[i]
+        speed_sums[i] += p.speed_mps
+        cogs[i].append(p.cog_deg)
+        row.n_hard_brakes += p.hard_brake
+        row.n_hard_accels += p.hard_accel
+        row.n_points += 1
+        if not sequence or sequence[-1] != i:
+            row.n_traversals += 1
+            sequence.append(i)
 
-    prev_key: EdgeKey | None = None
-    for mp in matched.points:
-        key = (mp.segment_id, mp.direction)
-        if key not in counts:
-            order.append(key)
-            speeds[key] = 0.0
-            cogs[key] = []
-            brakes[key] = 0
-            accels[key] = 0
-            counts[key] = 0
-            runs[key] = 0
-        speeds[key] += mp.point.speed_mps
-        cogs[key].append(mp.point.cog_deg)
-        brakes[key] += mp.point.hard_brake
-        accels[key] += mp.point.hard_accel
-        counts[key] += 1
-        if key != prev_key:
-            runs[key] += 1
-            sequence.append(key)
-            prev_key = key
+    for row, speed_sum, row_cogs in zip(rows, speed_sums, cogs):
+        row.avg_speed_mps = speed_sum / row.n_points
+        row.avg_direction_deg = circular_mean_deg(row_cogs)
 
     trip_length = 0.0
-    for key in sequence:
-        trip_length += network.segments[key[0]].length_m
+    for i in sequence:
+        trip_length += rows[i].length_m
 
-    rows = [
-        EdgeAttributeRow(
-            segment_id=key[0],
-            direction=key[1],
-            avg_speed_mps=speeds[key] / counts[key],
-            avg_direction_deg=circular_mean_deg(cogs[key]),
-            length_m=network.segments[key[0]].length_m,
-            n_hard_brakes=brakes[key],
-            n_hard_accels=accels[key],
-            n_traversals=runs[key],
-            n_points=counts[key],
-        )
-        for key in order
-    ]
-
-    first = matched.points[0]
-    last = matched.points[-1]
-    matrix = EdgeAttributedMatrix(
+    first = matched.first_snap
+    last = matched.last_snap
+    return TripGraph(
         driver_id=matched.driver_id,
         trip_id=matched.trip_id,
         rows=rows,
         trip_length_m=trip_length,
         net_displacement_m=haversine_m(first.lat, first.lon, last.lat, last.lon),
-    )
-    return TripGraph(
-        driver_id=matched.driver_id,
-        trip_id=matched.trip_id,
-        matrix=matrix,
-        row_index={key: i for i, key in enumerate(order)},
         traversal_sequence=sequence,
-        cog_resultant=mean_resultant_length(mp.point.cog_deg for mp in matched.points),
+        cog_resultant=mean_resultant_length(p.cog_deg for p in matched.points),
     )
 
 
@@ -188,7 +161,7 @@ def write_matrix_csv(graph: TripGraph, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MATRIX_CSV_COLUMNS)
-        for row in graph.matrix.rows:
+        for row in graph.rows:
             writer.writerow([
                 row.segment_id, row.direction,
                 repr(row.avg_speed_mps), repr(row.avg_direction_deg), repr(row.length_m),

@@ -155,6 +155,30 @@ def test_match_subcommand(tmp_path):
     assert len(list((out / "matrices").glob("trip_*.csv"))) == 12
 
 
+def test_match_reports_matched_count_of_poor_match(tmp_path):
+    (tmp_path / "nodes.csv").write_text("node_id,lat,lon\n1,40.0,-86.0\n2,40.0,-85.99\n")
+    (tmp_path / "segments.csv").write_text("segment_id,from_node,to_node\n10,1,2\n")
+    # two of four points lie far off the only segment
+    (tmp_path / "trips.csv").write_text(
+        "driver_id,trip_id,point_id,timestamp,lat,lon,speed_mps,cog_deg\n"
+        "1,1,0,100,40.0,-85.998,10.0,90.0\n"
+        "1,1,1,101,41.0,-85.996,10.0,90.0\n"
+        "1,1,2,102,40.0,-85.994,10.0,90.0\n"
+        "1,1,3,103,41.0,-85.992,10.0,90.0\n")
+    out = tmp_path / "match"
+    assert main(["match", "--network", str(tmp_path), "--trips", str(tmp_path / "trips.csv"),
+                 "--out", str(out)]) == 0
+    lines = (out / "matched_trips.csv").read_text().strip().splitlines()
+    assert lines[1] == "1,1,4,2,0.5000,poor_match"
+
+
+def test_pipeline_help_says_workers_ignored(capsys):
+    assert main(["pipeline", "--help"]) == 0
+    out = capsys.readouterr().out
+    workers = [line for line in out.splitlines() if line.strip().startswith("--workers")]
+    assert len(workers) == 1 and "ignored" in workers[0]
+
+
 def test_score_subcommand_fit_and_reuse(tmp_path):
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
@@ -177,6 +201,13 @@ def test_score_subcommand_fit_and_reuse(tmp_path):
     assert main(["score", "--features", str(run / "features.csv"),
                  "--model", str(fresh / "model.json"), "--per-category",
                  "--out", str(tmp_path / "bad")]) == 2
+
+    # a model whose tree loops back on itself is refused, not walked forever
+    crafted = json.loads((fresh / "model.json").read_text())
+    crafted["trees"] = [[[0, 0.5, 0, 0]]] * crafted["params"]["n_trees"]
+    (tmp_path / "crafted.json").write_text(json.dumps(crafted))
+    assert main(["score", "--features", str(run / "features.csv"),
+                 "--model", str(tmp_path / "crafted.json"), "--out", str(tmp_path / "bad")]) == 2
 
 
 def test_module_entrypoint_runs():

@@ -13,7 +13,7 @@ from tripsift.features import (
     read_feature_table,
     write_feature_table,
 )
-from tripsift.tripgraph import EdgeAttributeRow, EdgeAttributedMatrix, TripGraph
+from tripsift.tripgraph import EdgeAttributeRow, TripGraph
 
 
 def row(seg, direction=1, speed=10.0, avg_dir=90.0, length=500.0,
@@ -25,18 +25,17 @@ def row(seg, direction=1, speed=10.0, avg_dir=90.0, length=500.0,
 def make_graph(rows, seq=None, length=None, displacement=None,
                resultant=1.0, driver=1, trip=1):
     if seq is None:
-        seq = [(r.segment_id, r.direction) for r in rows]
+        seq = range(len(rows))
     if length is None:
         length = sum(r.length_m * r.n_traversals for r in rows)
     if displacement is None:
         displacement = length
-    matrix = EdgeAttributedMatrix(driver, trip, list(rows), length, displacement)
-    index = {(r.segment_id, r.direction): i for i, r in enumerate(rows)}
-    return TripGraph(driver, trip, matrix, index, list(seq), resultant)
+    return TripGraph(driver, trip, list(rows), length, displacement, list(seq), resultant)
 
 
 def test_feature_names_and_groups_consistent():
     assert len(FEATURE_NAMES) == 10
+    assert FEATURE_NAMES[0] == "displacement_ratio" and FEATURE_NAMES[-1] == "mean_speed"
     covered = sorted(i for dims in FEATURE_GROUPS.values() for i in dims)
     assert covered == list(range(10))
 
@@ -62,7 +61,7 @@ def test_displacement_ratio_clamped():
 
 def test_repetition_and_revisit():
     rows = [row(1, traversals=2, points=6), row(2, traversals=1, points=3)]
-    seq = [(1, 1), (2, 1), (1, 1)]
+    seq = [0, 1, 0]
     g = make_graph(rows, seq=seq, length=1500.0, displacement=500.0)
     f = extract_features(g)
     assert f.repetition_ratio == pytest.approx(1.5)
@@ -72,7 +71,7 @@ def test_repetition_and_revisit():
 
 def test_turn_density_follows_traversal_sequence():
     rows = [row(1, avg_dir=90.0), row(2, avg_dir=180.0)]
-    seq = [(1, 1), (2, 1), (1, 1)]  # out and back: 90 deg twice
+    seq = [0, 1, 0]  # rows of segments 1, 2, 1: out and back, 90 deg twice
     g = make_graph(rows, seq=seq, length=2000.0)
     assert extract_features(g).turn_density == pytest.approx(180.0 / 2.0)
 

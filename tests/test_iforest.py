@@ -179,9 +179,28 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_load_rejects_bad_documents(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"version": 99}))
-    with pytest.raises(ValueError, match="unsupported model version"):
-        load_model(path)
+    for doc in ({"version": 99}, []):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported model version"):
+            load_model(path)
     path.write_text(json.dumps({"version": 1, "params": {}}))
     with pytest.raises(ValueError, match="malformed model document"):
         load_model(path)
+
+    # documents that would hang, misscore or crash at scoring time
+    save_model(fit(blob(20, 3, seed=1), n_trees=2, subsample_size=8), path)
+    good = json.loads(path.read_text())
+    leaf = [-1, 1, 1]
+    for change in (
+        {"trees": [[[0, 0.5, 0, 0]]] * 2},                  # child loops back: endless walk
+        {"params": {**good["params"], "n_trees": 100}},     # fewer trees than n_trees
+        {"trees": [[[99, 0.5, 1, 2], leaf, leaf]] * 2},     # split on a missing dimension
+        {"trees": [[[0, 0.5, 1, 3], leaf, leaf]] * 2},      # child outside the tree
+        {"trees": [[[-1, -1, 0]]] * 2},                     # negative leaf size
+        {"trees": [[[-1, 1, -1]]] * 2},                     # negative leaf depth
+        {"trees": [[]] * 2},                                # empty tree
+        {"c_psi": 0.0},
+    ):
+        path.write_text(json.dumps({**good, **change}))
+        with pytest.raises(ValueError, match="malformed model document"):
+            load_model(path)

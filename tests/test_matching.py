@@ -180,9 +180,11 @@ def test_match_trip_directions(line_network):
     )
     matched = match_trip(trip, line_network, config)
     assert matched.matched_fraction == 1.0
-    assert [m.direction for m in matched.points] == [1, 1, -1]
-    assert all(m.segment_id == 10 for m in matched.points)
-    assert all(m.snap_distance_m <= config.max_snap_distance_m for m in matched.points)
+    assert [direction for _, direction in matched.edges] == [1, 1, -1]
+    assert all(segment_id == 10 for segment_id, _ in matched.edges)
+    snaps = [nearest_segment(p.lat, p.lon, line_network, config.max_snap_distance_m)
+             for p in matched.points]
+    assert all(s is not None and s.distance_m <= config.max_snap_distance_m for s in snaps)
 
 
 def test_match_trip_drops_far_points(line_network):
@@ -205,6 +207,7 @@ def test_match_trip_poor_match_rejected(line_network):
     with pytest.raises(MatchRejected) as info:
         match_trip(trip, line_network, config)
     assert info.value.reason == "poor_match"
+    assert info.value.n_matched == 1
     assert info.value.matched_fraction == pytest.approx(1 / 3)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from tripsift.geo import circular_diff_deg, haversine_m
 from tripsift.ingest import parse_road_network, parse_trips
-from tripsift.matching import match_trip
+from tripsift.matching import match_trip, nearest_segment
 from tripsift.model import AnalysisConfig
 from tripsift.synth import (
     ANOMALY_KINDS,
@@ -98,7 +98,8 @@ def test_samples_lie_on_network():
     config = AnalysisConfig(alpha=0.0)
     matched = match_trip(trip, world.network, config)
     assert matched.matched_fraction == 1.0
-    assert max(m.snap_distance_m for m in matched.points) < 1.0
+    assert max(nearest_segment(p.lat, p.lon, world.network, config.max_snap_distance_m).distance_m
+               for p in matched.points) < 1.0
 
 
 def grid_edges(world, path):
