@@ -6,6 +6,7 @@ hard-event bursts injected into some of their trips. Ground truth is
 written next to the data.
 
 Run: python3 demos/02_generate_dataset.py [--out DIR] [--seed N]
+(without --out the dataset goes to a temp dir that is removed on exit)
 """
 
 import argparse
@@ -17,13 +18,20 @@ from tripsift.synth import SynthSpec, generate_dataset
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", help="output directory (default: a temp dir)")
+    ap.add_argument("--out", help="output directory (default: a temp dir removed on exit)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    out = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="tripsift_demo_"))
+    if args.out:
+        show(Path(args.out), args.seed)
+    else:
+        with tempfile.TemporaryDirectory(prefix="tripsift_demo_") as tmp:
+            show(Path(tmp), args.seed)
+
+
+def show(out: Path, seed: int) -> None:
     spec = SynthSpec(n_drivers=8, trips_per_driver=10,
-                     abnormal_driver_fraction=0.25, rng_seed=args.seed)
+                     abnormal_driver_fraction=0.25, rng_seed=seed)
     summary = generate_dataset(spec, out)
 
     print(f"wrote dataset to {out}")
@@ -35,7 +43,8 @@ def main() -> None:
 
     for path in (summary.nodes_path, summary.segments_path,
                  summary.trips_path, summary.truth_path):
-        n_lines = sum(1 for _ in open(path))
+        with open(path) as fh:
+            n_lines = sum(1 for _ in fh)
         print(f"  {path.name:14s} {n_lines:7d} lines")
 
     print()

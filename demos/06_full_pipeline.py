@@ -1,6 +1,7 @@
 """Generate a dataset, run the whole pipeline, score it against truth.
 
 Run: python3 demos/06_full_pipeline.py [--seed N]
+(the dataset and the run outputs go to a temp dir that is removed on exit)
 """
 
 import argparse
@@ -18,12 +19,16 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    base = Path(tempfile.mkdtemp(prefix="tripsift_demo_"))
-    data = generate_dataset(SynthSpec(rng_seed=args.seed), base / "data")
+    with tempfile.TemporaryDirectory(prefix="tripsift_demo_") as tmp:
+        run(Path(tmp), args.seed)
+
+
+def run(base: Path, seed: int) -> None:
+    data = generate_dataset(SynthSpec(rng_seed=seed), base / "data")
     print(f"dataset: {data.n_drivers} drivers, {data.n_trips} trips "
           f"(abnormal drivers planted: {sorted(data.abnormal_drivers)})")
 
-    config = AnalysisConfig(alpha=0.0, rng_seed=args.seed)
+    config = AnalysisConfig(alpha=0.0, rng_seed=seed)
     result = run_pipeline(data.nodes_path, data.segments_path, data.trips_path,
                           base / "run", config)
     print(f"pipeline counts: {result.counts}")
@@ -41,7 +46,6 @@ def main() -> None:
     print()
     print(f"accuracy {m.accuracy:.4f}  precision {m.precision:.4f}  "
           f"recall {m.recall:.4f}  f1 {m.f1:.4f}")
-    print(f"outputs in {base / 'run'}")
 
 
 if __name__ == "__main__":

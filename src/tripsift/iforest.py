@@ -13,9 +13,14 @@ H(i) = ln(i) + Euler-Mascheroni is the average path length of an
 unsuccessful binary search tree lookup, used to normalize.
 
 Trees are arrays of nodes: internal nodes are [dim, split, left, right]
-(indices into the array), external nodes are [-1, size, depth]. Tree i
-draws from its own generator seeded with rng_seed XOR i, so results do
-not depend on build order.
+(indices into the array), external nodes are [-1, size, depth]. These
+node lists are the model's only stored form and the model.json format.
+Tree i draws from its own generator seeded with rng_seed XOR i, so
+results do not depend on build order.
+
+Scoring walks all rows through one tree at a time: each call turns a
+tree's node list into parallel arrays and moves every row down one level
+per step until all rows sit on leaves.
 """
 
 from __future__ import annotations
@@ -148,17 +153,35 @@ def fit(
     )
 
 
-def _path_length(nodes: list[list[float]], x: np.ndarray) -> float:
-    idx = 0
-    while True:
-        node = nodes[idx]
+def _tree_arrays(nodes: list[list[float]]) -> tuple[np.ndarray, ...]:
+    """Parallel node arrays of one tree: feature, threshold, left, right, leaf, leaf value.
+
+    A leaf is its own left and right child, so a walk that reaches it stays
+    there; its leaf value is depth + c(size).
+    """
+    table = []
+    leaf_value = []
+    for i, node in enumerate(nodes):
         if node[0] < 0:
-            return node[2] + average_path_length(node[1])
-        idx = node[2] if x[int(node[0])] < node[1] else node[3]
+            table.append((0, 0.0, i, i))
+            leaf_value.append(node[2] + average_path_length(node[1]))
+        else:
+            table.append(node)
+            leaf_value.append(0.0)
+    table = np.array(table, dtype=float)
+    feature, left, right = table[:, [0, 2, 3]].astype(np.intp).T
+    is_leaf = left == np.arange(len(nodes))
+    return feature, table[:, 1], left, right, is_leaf, np.array(leaf_value)
 
 
 def score_vectors(model: IForestModel, X: np.ndarray) -> np.ndarray:
-    """Anomaly scores in (0, 1) for each row of X."""
+    """Anomaly scores in (0, 1) for each row of X.
+
+    All rows walk one tree at a time, one level per step, until every row
+    sits on a leaf. Path lengths are summed in tree order and each mean is
+    mapped by score_from_mean_path, so a row's score does not depend on
+    which other rows are scored with it.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
@@ -166,13 +189,18 @@ def score_vectors(model: IForestModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite values")
-    scores = np.empty(X.shape[0], dtype=float)
-    for i, x in enumerate(X):
-        total = 0.0
-        for nodes in model.trees:
-            total += _path_length(nodes, x)
-        scores[i] = score_from_mean_path(total / model.n_trees, model.c_psi)
-    return scores
+    values = X.ravel()
+    row_start = np.arange(X.shape[0]) * X.shape[1]
+    total = np.zeros(X.shape[0])
+    for nodes in model.trees:
+        feature, threshold, left, right, is_leaf, leaf_value = _tree_arrays(nodes)
+        idx = np.zeros(X.shape[0], dtype=np.intp)
+        while not is_leaf[idx].all():
+            goes_left = values[row_start + feature[idx]] < threshold[idx]
+            idx = np.where(goes_left, left[idx], right[idx])
+        total += leaf_value[idx]
+    mean_paths = (total / model.n_trees).tolist()
+    return np.array([score_from_mean_path(m, model.c_psi) for m in mean_paths], dtype=float)
 
 
 def threshold_from_contamination(scores: Sequence[float], contamination: float) -> float:
@@ -210,21 +238,34 @@ def save_model(model: IForestModel, path: str | Path) -> None:
         json.dump(doc, fh, separators=(",", ":"))
 
 
-def _check_tree(nodes: list, n_features: int) -> None:
-    """Raise ValueError unless nodes is a tree _path_length can walk to a leaf.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    Children must sit after their parent, so every walk ends.
+
+def _is_real(value) -> bool:
+    """A finite int or float, not a bool; OverflowError for an int beyond float range."""
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _check_tree(nodes: list, n_features: int) -> None:
+    """Raise ValueError unless nodes is a tree score_vectors can walk to a leaf.
+
+    Children must sit after their parent, so every walk ends. Splits, leaf
+    sizes and leaf depths must be finite numbers: fit only draws splits
+    between finite data values, and scoring converts all three to floats.
     """
     if not isinstance(nodes, list) or not nodes:
         raise ValueError("tree is not a non-empty list of nodes")
     for idx, node in enumerate(nodes):
         if node[0] < 0:
-            if len(node) != 3 or not (node[1] >= 0 and node[2] >= 0):
+            if len(node) != 3 or not all(_is_real(v) and v >= 0 for v in node[1:]):
                 raise ValueError(f"node {idx}: leaf needs [-1, size >= 0, depth >= 0]")
-        elif len(node) != 4 or not node[0] < n_features:
-            raise ValueError(f"node {idx}: internal node needs [dim < {n_features}, split, "
+        elif len(node) != 4 or not (_is_int(node[0]) and node[0] < n_features):
+            raise ValueError(f"node {idx}: internal node needs [int dim < {n_features}, split, "
                              "left, right]")
-        elif not all(isinstance(c, int) and idx < c < len(nodes) for c in node[2:]):
+        elif not _is_real(node[1]):
+            raise ValueError(f"node {idx}: split {node[1]!r} is not a finite number")
+        elif not all(_is_int(c) and idx < c < len(nodes) for c in node[2:]):
             raise ValueError(f"node {idx}: children must lie after it and inside the tree")
 
 
@@ -234,8 +275,10 @@ def load_model(path: str | Path) -> IForestModel:
     Raises:
         ValueError: unknown format version or malformed document (missing
             keys, a tree count other than n_trees, a non-positive c_psi,
-            or a tree with an out-of-range split dimension, child index,
-            leaf size or leaf depth).
+            or a tree with a split dimension that is not an int below
+            n_features, a split, leaf size or leaf depth that is not a
+            finite number, a negative leaf size or depth, or an
+            out-of-range child index).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -265,6 +308,6 @@ def load_model(path: str | Path) -> IForestModel:
     for i, nodes in enumerate(model.trees):
         try:
             _check_tree(nodes, model.n_features)
-        except (ValueError, TypeError, IndexError, KeyError) as exc:
+        except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
             raise ValueError(f"malformed model document: tree {i}: {exc}") from None
     return model

@@ -13,7 +13,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    """Each demo exits 0, closes its files and leaves nothing in the temp directory."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp)}
+    proc = subprocess.run([sys.executable, "-X", "dev", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert list(tmp.iterdir()) == []

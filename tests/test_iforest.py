@@ -6,9 +6,12 @@ written, from the same published formula evaluated in isolation.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripsift.iforest import (
     IForestModel,
@@ -165,6 +168,8 @@ def test_score_vectors_validations():
         score_vectors(model, np.array([[np.inf, 0.0, 0.0]]))
     single = score_vectors(model, np.array([0.5, 0.5, 0.5]))
     assert single.shape == (1,)
+    assert np.array_equal(single, oracle_scores(model, [[0.5, 0.5, 0.5]]))
+    assert score_vectors(model, np.empty((0, 3))).shape == (0,)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -198,9 +203,81 @@ def test_load_rejects_bad_documents(tmp_path):
         {"trees": [[[0, 0.5, 1, 3], leaf, leaf]] * 2},      # child outside the tree
         {"trees": [[[-1, -1, 0]]] * 2},                     # negative leaf size
         {"trees": [[[-1, 1, -1]]] * 2},                     # negative leaf depth
+        {"trees": [[[-1, 1, 10**400]]] * 2},                # leaf depth beyond float range
         {"trees": [[]] * 2},                                # empty tree
+        {"trees": [[[0, "abc", 1, 2], leaf, leaf]] * 2},    # non-numeric split: ufunc error
+        {"trees": [[[0, None, 1, 2], leaf, leaf]] * 2},     # null split: TypeError
+        {"trees": [[[True, 0.5, 1, 2], leaf, leaf]] * 2},   # boolean dimension: read as dim 1
         {"c_psi": 0.0},
     ):
         path.write_text(json.dumps({**good, **change}))
         with pytest.raises(ValueError, match="malformed model document"):
             load_model(path)
+
+
+def oracle_scores(model, X):
+    """Reference scores: each row walks each tree alone, path lengths summed in tree order."""
+    scores = []
+    for x in np.asarray(X, dtype=float).reshape(-1, model.n_features):
+        total = 0.0
+        for nodes in model.trees:
+            node = nodes[0]
+            while node[0] >= 0:
+                node = nodes[node[2] if x[int(node[0])] < node[1] else node[3]]
+            total += node[2] + average_path_length(node[1])
+        scores.append(score_from_mean_path(total / model.n_trees, model.c_psi))
+    return np.array(scores, dtype=float)
+
+
+@st.composite
+def forest_cases(draw):
+    """A fitted forest plus a matrix to score.
+
+    Values come from a few levels per column, so rows repeat values, and
+    some columns are constant; the query rows reach outside the fit range.
+    """
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 50))
+    X = rng.integers(0, levels, size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    constant = rng.uniform(size=d) < 0.25
+    X[:, constant] = 1.5
+    Q = rng.integers(-2, levels + 2, size=(draw(st.integers(1, 300)), d)) * 0.7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # all-constant X warns
+        model = fit(X, n_trees=draw(st.integers(1, 12)),
+                    subsample_size=draw(st.integers(2, 300)),
+                    rng_seed=draw(st.integers(0, 2**20)))
+    return model, X, Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=forest_cases(), random=st.randoms(use_true_random=False))
+def test_random_forest_scores_match_scalar_walk(case, random, tmp_path_factory):
+    model, X, Q = case
+    for data in (X, Q):
+        scores = score_vectors(model, data)
+        assert np.array_equal(scores, oracle_scores(model, data))
+        assert np.all((scores > 0.0) & (scores < 1.0))
+        perm = np.array(random.sample(range(len(data)), len(data)))
+        assert np.array_equal(score_vectors(model, data[perm]), scores[perm])
+
+    path = tmp_path_factory.mktemp("forest") / "model.json"
+    save_model(model, path)
+    assert np.array_equal(score_vectors(load_model(path), Q), score_vectors(model, Q))
+
+
+def test_walk_ignores_stated_max_depth(tmp_path):
+    """Scoring follows the tree to its leaves; max_depth is not checked by load_model."""
+    leaf = [-1, 1, 3]
+    nodes = [[0, 0.5, 1, 2], [-1, 2, 1], [1, 0.5, 3, 4], [-1, 1, 2],
+             [0, 0.75, 5, 6], leaf, leaf]
+    doc = {"version": 1, "params": {"n_trees": 2, "subsample_size": 8, "rng_seed": 0},
+           "n_features": 2, "psi": 8, "max_depth": 1, "c_psi": average_path_length(8),
+           "trees": [nodes, [[1, 0.25, 1, 2], [-1, 3, 1], [-1, 5, 1]]]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    X = np.array([[0.2, 0.9], [0.6, 0.1], [0.6, 0.9], [0.9, 0.9], [0.7, 0.6]])
+    assert np.array_equal(score_vectors(model, X), oracle_scores(model, X))

@@ -1,7 +1,11 @@
 """Snapping correctness: exact chord distances, grid search equals brute force."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripsift.geo import haversine_m
 from tripsift.matching import (
@@ -144,6 +148,59 @@ def test_nearest_segment_matches_brute_force(cell_size_m):
                     assert got is not None
                     assert got.segment_id == expected[1]
                     assert got.distance_m == pytest.approx(expected[0], abs=1e-6)
+
+
+@st.composite
+def snap_cases(draw):
+    """A small network, a grid cell size and query points.
+
+    Nodes sit on a 0.001 deg lattice, so segments share ends, overlap and
+    run parallel. Some segments are copies of others under another id, and
+    ids are shuffled, so a copy can hold the lower id. Queries at nodes are
+    exactly 0 m from every segment that ends there; queries at chord
+    midpoints are 0 m from a segment and its copies; the rest fall anywhere
+    in and around the network.
+    """
+    lattice = st.integers(0, 20)
+    n_nodes = draw(st.integers(2, 10))
+    coords = draw(st.lists(st.tuples(lattice, lattice), min_size=n_nodes, max_size=n_nodes))
+    nodes = {i: RoadNode(i, 40.0 + 0.001 * y, -86.0 + 0.001 * x) for i, (y, x) in enumerate(coords)}
+    ends = st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1))
+    pairs = draw(st.lists(ends.filter(lambda e: e[0] != e[1]), min_size=1, max_size=15))
+    pairs += [pairs[i] for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4))]
+    ids = draw(st.permutations(range(len(pairs))))
+    segments = {}
+    for sid, (u, v) in zip(ids, pairs):
+        a, b = nodes[u], nodes[v]
+        segments[sid] = RoadSegment(sid, u, v, haversine_m(a.lat, a.lon, b.lat, b.lon))
+    network = RoadNetwork(nodes=nodes, segments=segments)
+    network.index = build_spatial_index(network, draw(st.sampled_from([50.0, 200.0, 1000.0])))
+
+    queries = [(n.lat, n.lon) for n in nodes.values()]
+    for u, v in pairs:
+        queries.append(((nodes[u].lat + nodes[v].lat) / 2, (nodes[u].lon + nodes[v].lon) / 2))
+    queries += draw(st.lists(st.tuples(st.floats(39.997, 40.023), st.floats(-86.003, -85.977)),
+                             max_size=8))
+    return network, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(snap_cases())
+def test_random_nearest_segment_equals_brute_force(case):
+    network, queries = case
+    for lat, lon in queries:
+        best = brute_force_nearest(lat, lon, network, math.inf)[0]
+        radii = [best, 2.0 * best + 10.0, 50.0, 1e9]
+        if best > 0.0:
+            radii += [math.nextafter(best, 0.0), best / 2.0]
+        for radius in radii:
+            want = brute_force_nearest(lat, lon, network, radius)
+            got = nearest_segment(lat, lon, network, radius)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert (got.distance_m, got.segment_id) == want
 
 
 def test_travel_direction():

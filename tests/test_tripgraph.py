@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,28 @@ def test_detect_events_zero_dt_skipped():
     ]
     out = detect_events(pts, accel_threshold=3.0)
     assert (out[1].hard_accel, out[1].hard_brake) == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from([0, 1, 2, 4]), st.integers(0, 160)),
+                      min_size=1, max_size=30),
+       threshold_quarters=st.integers(1, 16))
+def test_detect_events_follow_threshold_rule(steps, threshold_quarters):
+    """Speeds are multiples of 0.25 m/s and time steps powers of two, so every
+    acceleration is exact and some land exactly on the threshold."""
+    threshold = threshold_quarters / 4
+    points = [TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0, 1, 1)]
+    for i, (dt, speed_quarters) in enumerate(steps, 1):
+        points.append(TrajectoryPoint(1, 1, i, points[-1].timestamp + dt, 40.0, -86.0,
+                                      speed_quarters / 4, 90.0, 1, 1))
+    out = detect_events(points, accel_threshold=threshold)
+    assert (out[0].hard_accel, out[0].hard_brake) == (0, 0)
+    for prev, cur, got in zip(points, points[1:], out[1:]):
+        dv = cur.speed_mps - prev.speed_mps
+        dt = cur.timestamp - prev.timestamp
+        assert got.hard_accel == int(dt > 0 and dv >= threshold * dt)
+        assert got.hard_brake == int(dt > 0 and dv <= -threshold * dt)
+        assert replace(got, hard_accel=1, hard_brake=1) == cur
 
 
 def test_detect_events_requires_two_points():
