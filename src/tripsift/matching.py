@@ -2,21 +2,28 @@
 
 A matched trip keeps the points that snapped, the directed edge key
 (segment_id, direction) of each, and the snap results of its first and
-last matched points; nearest_segment answers single-point queries.
+last matched points. nearest_segment is the one snapping function: it
+takes one point, or the lat/lon arrays of a whole trip.
 
 Candidate lookup runs on a uniform grid keyed by a fixed equirectangular
-projection of the network's bounding box; exact distances are computed
-per query with a projection anchored at the query point, treating each
-segment as a locally planar chord. Grid distances only gate the search,
-so ring expansion carries slack for the projection mismatch; accuracy
-assumes city-scale networks at sane latitudes (below roughly 85 deg).
+projection of the network's bounding box. A point's candidates are every
+segment registered in the box of cells within the snap radius (plus
+slack for the projection mismatch) of its home cell, the box clamped to
+the occupied cells. Exact distances are computed for all points and
+candidates as one block, with a projection anchored at each point and
+each segment treated as a locally planar chord; the arithmetic is that
+of point_segment_distance, so results equal an exhaustive scan.
+Accuracy assumes city-scale networks at sane latitudes (below roughly
+85 deg).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional, Union
+
+import numpy as np
 
 from .geo import EARTH_RADIUS_M, initial_bearing_deg
 from .model import AnalysisConfig, RoadNetwork, RoadNode, TrajectoryPoint, Trip
@@ -24,17 +31,41 @@ from .model import AnalysisConfig, RoadNetwork, RoadNode, TrajectoryPoint, Trip
 DEFAULT_CELL_SIZE_M = 200.0
 
 # conservative gate: projected distance may disagree with the anchored
-# chord distance, so bounds are inflated before pruning grid rings
+# chord distance, so the searched box is inflated by this much
 _SLACK_FACTOR = 1.05
 _SLACK_M = 10.0
+
+# the factors math.radians and math.degrees multiply by, so array code
+# converts angles bit for bit as the scalar code does
+_DEG_TO_RAD = math.pi / 180.0
+_RAD_TO_DEG = 180.0 / math.pi
+
+# squared distances rank the candidates; where the best two squares lie
+# within this relative band, or this absolute floor, math.hypot decides
+_TIE_BAND = 1e-9
+_TIE_FLOOR = 1e-300
+
+_NO_CANDIDATES = np.empty(0, dtype=np.intp)
+_NO_CANDIDATES.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class SnapResult:
-    segment_id: int
-    distance_m: float
-    lat: float
-    lon: float
+    """A snap: scalars for one point, or equal-length arrays for many.
+
+    In the array form segment_id is -1, and the other fields NaN, where
+    no segment lies within the snap radius.
+    """
+
+    segment_id: Union[int, np.ndarray]
+    distance_m: Union[float, np.ndarray]
+    lat: Union[float, np.ndarray]
+    lon: Union[float, np.ndarray]
+
+    def at(self, i: int) -> SnapResult:
+        """Row i of an array result, as a scalar SnapResult."""
+        return SnapResult(int(self.segment_id[i]), float(self.distance_m[i]),
+                          float(self.lat[i]), float(self.lon[i]))
 
 
 EdgeKey = tuple[int, int]  # (segment_id, direction): +1 with segment orientation, -1 against
@@ -108,16 +139,20 @@ def point_segment_distance(
 
 
 class SegmentGrid:
-    """Uniform grid over the network's projected bounding box.
+    """Uniform grid over the network's projected bounding box, plus the
+    network's segment geometry as arrays.
 
-    Every segment is registered in each cell its bounding box overlaps,
-    so a radius query only needs the rings of cells around the query
-    point. Cells are sparse (dict keyed by integer cell coordinates).
+    Every segment is registered in each cell its bounding box overlaps.
+    Cells are sparse (dict keyed by integer cell coordinates). Segments
+    are addressed by position in the sorted id array, so a lower
+    position is a lower id.
     """
 
     def __init__(self, network: RoadNetwork, cell_size_m: float = DEFAULT_CELL_SIZE_M):
         if cell_size_m <= 0.0:
             raise ValueError("cell size must be positive")
+        if not network.segments:
+            raise ValueError("network has no segments")
         self.cell_size_m = cell_size_m
         lats = [n.lat for n in network.nodes.values()]
         lons = [n.lon for n in network.nodes.values()]
@@ -127,10 +162,9 @@ class SegmentGrid:
         self.cos_ref = max(math.cos(math.radians(mid_lat)), 1e-12)
         self.cells: dict[tuple[int, int], list[int]] = {}
 
-        for seg_id in sorted(network.segments):
-            seg = network.segments[seg_id]
-            a = network.nodes[seg.from_node]
-            b = network.nodes[seg.to_node]
+        ids = sorted(network.segments)
+        ends = [network.segment_endpoints(seg_id) for seg_id in ids]
+        for seg_id, (a, b) in zip(ids, ends):
             ax, ay = self.project(a.lat, a.lon)
             bx, by = self.project(b.lat, b.lon)
             ix0 = math.floor(min(ax, bx) / cell_size_m)
@@ -148,30 +182,44 @@ class SegmentGrid:
         else:
             self._cell_bounds = (0, 0, 0, 0)
 
+        self.segment_ids = np.array(ids, dtype=np.int64)
+        self.a_lat = np.array([a.lat for a, _ in ends], dtype=float)
+        self.a_lon = np.array([a.lon for a, _ in ends], dtype=float)
+        self.b_lat = np.array([b.lat for _, b in ends], dtype=float)
+        self.b_lon = np.array([b.lon for _, b in ends], dtype=float)
+        # from->to bearing; NaN for a zero-length segment, whose direction is undefined
+        self.bearing = np.array(
+            [math.nan if (a.lat, a.lon) == (b.lat, b.lon)
+             else initial_bearing_deg(a.lat, a.lon, b.lat, b.lon) for a, b in ends],
+            dtype=float)
+        # the (segment_id, +1) and (segment_id, -1) keys of each position, built once
+        # so that matched trips share them instead of holding one tuple per point
+        self.edge_keys = np.empty((len(ids), 2), dtype=object)
+        for k, seg_id in enumerate(ids):
+            self.edge_keys[k, 0] = (seg_id, 1)
+            self.edge_keys[k, 1] = (seg_id, -1)
+        self._boxes: dict[tuple[int, int, int, int], np.ndarray] = {}
+
     def project(self, lat: float, lon: float) -> tuple[float, float]:
         x = math.radians(lon - self.lon0) * EARTH_RADIUS_M * self.cos_ref
         y = math.radians(lat - self.lat0) * EARTH_RADIUS_M
         return x, y
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return math.floor(x / self.cell_size_m), math.floor(y / self.cell_size_m)
-
-    def rings_to_cover(self, ci: int, cj: int) -> int:
-        """Ring count from a cell out to the farthest occupied cell."""
+    def candidates(self, ci: int, cj: int, rings: int) -> np.ndarray:
+        """Sorted positions of the segments in the cells within `rings` of
+        cell (ci, cj), the box clamped to the occupied cells; cached per box."""
         ix0, ix1, iy0, iy1 = self._cell_bounds
-        return max(abs(ci - ix0), abs(ci - ix1), abs(cj - iy0), abs(cj - iy1))
-
-    def ring_cells(self, ci: int, cj: int, k: int) -> Iterator[tuple[int, int]]:
-        """Cells at Chebyshev distance exactly k from (ci, cj)."""
-        if k == 0:
-            yield (ci, cj)
-            return
-        for ix in range(ci - k, ci + k + 1):
-            yield (ix, cj - k)
-            yield (ix, cj + k)
-        for iy in range(cj - k + 1, cj + k):
-            yield (ci - k, iy)
-            yield (ci + k, iy)
+        box = i0, i1, j0, j1 = (max(ci - rings, ix0), min(ci + rings, ix1),
+                                max(cj - rings, iy0), min(cj + rings, iy1))
+        if i0 > i1 or j0 > j1:
+            return _NO_CANDIDATES
+        found = self._boxes.get(box)
+        if found is None:
+            ids = sorted({seg_id for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)
+                          for seg_id in self.cells.get((i, j), ())})
+            found = self._boxes[box] = np.searchsorted(self.segment_ids, ids)
+            found.setflags(write=False)  # shared by every caller
+        return found
 
 
 def build_spatial_index(network: RoadNetwork, cell_size_m: float = DEFAULT_CELL_SIZE_M) -> SegmentGrid:
@@ -186,55 +234,109 @@ def _grid_of(network: RoadNetwork) -> SegmentGrid:
 
 
 def nearest_segment(
-    lat: float, lon: float, network: RoadNetwork, max_snap_distance_m: float
+    lat: Union[float, np.ndarray],
+    lon: Union[float, np.ndarray],
+    network: RoadNetwork,
+    max_snap_distance_m: float,
 ) -> Optional[SnapResult]:
-    """Closest segment within the snap radius, or None.
+    """Closest segment within the snap radius, for one point or for arrays of points.
 
-    Matches an exhaustive scan over all segments exactly: candidate
-    cells are expanded ring by ring until no unvisited ring can beat
-    the best distance found, and ties on distance go to the lower
+    Equals an exhaustive scan over all segments with
+    point_segment_distance, exactly: each point's candidates are the
+    segments of the clamped box of cells around its home cell, which
+    holds every segment the radius can reach; distances to all of them
+    come from one points x candidates block computed in the scalar
+    function's operation order; ties on distance go to the lower
     segment id.
+
+    Returns:
+        For scalar lat/lon, a SnapResult or None when nothing is in range.
+        For arrays, one SnapResult of arrays, with segment_id -1 (and NaN
+        elsewhere) on the rows where nothing is in range.
     """
     grid = _grid_of(network)
-    px, py = grid.project(lat, lon)
-    ci, cj = grid.cell_of(px, py)
+    scalar = np.ndim(lat) == 0
+    lat = np.atleast_1d(np.asarray(lat, dtype=float))
+    lon = np.atleast_1d(np.asarray(lon, dtype=float))
+    n = len(lat)
     cell = grid.cell_size_m
+    rings = int((_SLACK_FACTOR * max_snap_distance_m + _SLACK_M) / cell) + 1
 
-    snap_rings = int((_SLACK_FACTOR * max_snap_distance_m + _SLACK_M) / cell) + 1
-    k_cap = min(snap_rings, grid.rings_to_cover(ci, cj))
+    # home cells, by the arithmetic of SegmentGrid.project; one candidate
+    # lookup per run of consecutive points in the same cell
+    ci = np.floor((lon - grid.lon0) * _DEG_TO_RAD * EARTH_RADIUS_M * grid.cos_ref / cell)
+    cj = np.floor((lat - grid.lat0) * _DEG_TO_RAD * EARTH_RADIUS_M / cell)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])
+    run = np.cumsum(starts) - 1
+    boxes = [grid.candidates(i, j, rings) for i, j in
+             zip(ci[starts].astype(np.int64).tolist(), cj[starts].astype(np.int64).tolist())]
+    # pad every run to the widest box; padding points at position 0 and is masked off
+    lengths = np.fromiter(map(len, boxes), np.intp, len(boxes))
+    width = max(lengths.max(initial=0), 1)
+    filled = np.arange(width) < lengths[:, None]
+    pos = np.zeros(filled.shape, dtype=np.intp)
+    pos[filled] = np.concatenate(boxes) if boxes else []
+    pos, filled = pos[run], filled[run]
 
-    best: Optional[tuple[float, int, float, float]] = None
-    seen: set[int] = set()
-    for k in range(k_cap + 1):
-        if best is not None and (k - 1) * cell > _SLACK_FACTOR * best[0] + _SLACK_M:
-            break
-        for cell_key in grid.ring_cells(ci, cj, k):
-            for seg_id in grid.cells.get(cell_key, ()):
-                if seg_id in seen:
-                    continue
-                seen.add(seg_id)
-                a, b = network.segment_endpoints(seg_id)
-                dist, plat, plon = point_segment_distance(lat, lon, a, b)
-                if best is None or (dist, seg_id) < (best[0], best[1]):
-                    best = (dist, seg_id, plat, plon)
+    cos_ref = np.fromiter(map(math.cos, (lat * _DEG_TO_RAD).tolist()), float, n)
+    kx = EARTH_RADIUS_M * np.maximum(cos_ref, 1e-12)
+    lat_col, lon_col, kx_col = lat[:, None], lon[:, None], kx[:, None]
+    ax = (grid.a_lon[pos] - lon_col) * _DEG_TO_RAD * kx_col
+    ay = (grid.a_lat[pos] - lat_col) * _DEG_TO_RAD * EARTH_RADIUS_M
+    bx = (grid.b_lon[pos] - lon_col) * _DEG_TO_RAD * kx_col
+    by = (grid.b_lat[pos] - lat_col) * _DEG_TO_RAD * EARTH_RADIUS_M
+    dx = bx - ax
+    dy = by - ay
+    seg_len2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-(ax * dx + ay * dy) / seg_len2, 0.0, 1.0)
+    t[seg_len2 == 0.0] = 0.0
+    cx = ax + t * dx
+    cy = ay + t * dy
+    sq = cx * cx + cy * cy
+    sq[~filled] = math.inf
 
-    if best is None or best[0] > max_snap_distance_m:
-        return None
-    return SnapResult(segment_id=best[1], distance_m=best[0], lat=best[2], lon=best[3])
+    # the least square picks the winner, except where the best two lie within
+    # rounding of each other (relatively, or absolutely below the range where
+    # squares keep their precision): there math.hypot decides, as in the scalar scan
+    rows = np.arange(n)
+    best = sq.argmin(axis=1)
+    lowest = sq[rows, best]
+    near = sq <= lowest[:, None] * (1.0 + _TIE_BAND) + _TIE_FLOOR
+    for r in np.flatnonzero((near.sum(axis=1) > 1) & (lowest < math.inf)).tolist():
+        best[r] = min(np.flatnonzero(near[r]).tolist(),
+                      key=lambda k: (math.hypot(cx[r, k], cy[r, k]), pos[r, k]))
+
+    cx, cy = cx[rows, best], cy[rows, best]
+    dist = np.fromiter(map(math.hypot, cx.tolist(), cy.tolist()), float, n)
+    hit = filled[rows, best] & (dist <= max_snap_distance_m)
+    snaps = SnapResult(np.where(hit, grid.segment_ids[pos[rows, best]], -1),
+                       np.where(hit, dist, math.nan),
+                       np.where(hit, lat + (cy / EARTH_RADIUS_M) * _RAD_TO_DEG, math.nan),
+                       np.where(hit, lon + (cx / kx) * _RAD_TO_DEG, math.nan))
+    if scalar:
+        return snaps.at(0) if hit[0] else None
+    return snaps
 
 
-def travel_direction(cog_deg: float, segment_bearing_deg: float) -> int:
+def travel_direction(
+    cog_deg: Union[float, np.ndarray], segment_bearing_deg: Union[float, np.ndarray]
+) -> Union[int, np.ndarray]:
     """+1 when the course runs with the segment's from->to orientation, else -1.
 
-    Decided by the sign of the dot product between the two unit
-    vectors; an exactly perpendicular course counts as +1.
+    The course runs with the segment when circular_diff_deg puts it
+    within 90 deg of the segment's bearing, so an exactly perpendicular
+    course counts as +1. Takes scalars or arrays; fmod, abs and the fold
+    360 - d above 180 are exact, so both forms decide alike.
     """
-    dot = math.cos(math.radians(cog_deg - segment_bearing_deg))
-    return 1 if dot >= 0.0 else -1
+    d = np.fmod(np.abs(np.subtract(cog_deg, segment_bearing_deg)), 360.0)
+    direction = np.where((d <= 90.0) | (d >= 270.0), 1, -1)
+    return int(direction) if direction.ndim == 0 else direction
 
 
 def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> MatchedTrip:
-    """Snap every point of a trip to its nearest segment.
+    """Snap every point of a trip to its nearest segment, in one nearest_segment call.
 
     Points with no segment within config.max_snap_distance_m are
     dropped. The trip is rejected when nothing matches or when the
@@ -242,30 +344,31 @@ def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> Matc
 
     Raises:
         MatchRejected: reason "empty_match" or "poor_match".
+        ValueError: a point snapped to a zero-length segment, whose
+            direction is undefined.
     """
-    bearings: dict[int, float] = {}
-    points: list[TrajectoryPoint] = []
-    edges: list[EdgeKey] = []
-    first_snap = last_snap = None
-    for p in trip.points:
-        snap = nearest_segment(p.lat, p.lon, network, config.max_snap_distance_m)
-        if snap is None:
-            continue
-        bearing = bearings.get(snap.segment_id)
-        if bearing is None:
-            a, b = network.segment_endpoints(snap.segment_id)
-            bearing = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
-            bearings[snap.segment_id] = bearing
-        points.append(p)
-        edges.append((snap.segment_id, travel_direction(p.cog_deg, bearing)))
-        if first_snap is None:
-            first_snap = snap
-        last_snap = snap
+    points = trip.points
+    n = len(points)
+    lat = np.fromiter([p.lat for p in points], float, n)
+    lon = np.fromiter([p.lon for p in points], float, n)
+    snaps = nearest_segment(lat, lon, network, config.max_snap_distance_m)
+    kept = np.flatnonzero(snaps.segment_id >= 0)
+    grid = _grid_of(network)
+    pos = np.searchsorted(grid.segment_ids, snaps.segment_id[kept])
+    bearing = grid.bearing[pos]
+    if np.isnan(bearing).any():
+        raise ValueError("undefined bearing: a point snapped to a zero-length segment")
 
-    fraction = len(points) / len(trip.points)
-    if not points:
+    fraction = len(kept) / n
+    if not len(kept):
         raise MatchRejected("empty_match", trip.driver_id, trip.trip_id, 0, fraction)
     if fraction < config.min_matched_fraction:
-        raise MatchRejected("poor_match", trip.driver_id, trip.trip_id, len(points), fraction)
-    return MatchedTrip(trip.driver_id, trip.trip_id, points, edges, first_snap, last_snap,
-                       fraction)
+        raise MatchRejected("poor_match", trip.driver_id, trip.trip_id, len(kept), fraction)
+
+    kept_list = kept.tolist()
+    cog = np.fromiter([points[i].cog_deg for i in kept_list], float, len(kept_list))
+    backward = travel_direction(cog, bearing) < 0
+    return MatchedTrip(trip.driver_id, trip.trip_id,
+                       [points[i] for i in kept_list],
+                       grid.edge_keys[pos, backward.astype(np.intp)].tolist(),
+                       snaps.at(kept_list[0]), snaps.at(kept_list[-1]), fraction)

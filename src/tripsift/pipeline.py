@@ -44,6 +44,7 @@ class PipelineResult:
     ingest_report: IngestReport
     n_match_rejected: int
     match_rejections: dict[str, int]
+    n_points_matched: int                     # matched points over all matched trips
     n_alpha_dropped: int
     table: FeatureTable
     trip_scores: list[TripScore]
@@ -58,6 +59,7 @@ class PipelineResult:
         return {
             "points_read": self.ingest_report.n_points_read,
             "points_rejected": self.ingest_report.n_points_rejected,
+            "points_matched": self.n_points_matched,
             "trips_parsed": self.ingest_report.n_trips,
             "trips_match_rejected": self.n_match_rejected,
             "trips_alpha_dropped": self.n_alpha_dropped,
@@ -241,6 +243,7 @@ def _run(
         ingest_report=report,
         n_match_rejected=len(results) - len(matched),
         match_rejections=rejections,
+        n_points_matched=sum(len(m.points) for m in matched),
         n_alpha_dropped=len(dropped),
         table=table,
         trip_scores=trip_scores,

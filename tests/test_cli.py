@@ -242,6 +242,8 @@ def test_quick_start_keeps_pipeline_manifest(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "accuracy 0.9444", "precision 0.7500", "recall 1.0000", "f1 0.8571"]
     assert json.loads(Path("run/manifest.json").read_text())["command"] == "pipeline"
+    counts = json.loads(Path("run/summary.json").read_text())["counts"]
+    assert 0 < counts["points_matched"] <= counts["points_read"] - counts["points_rejected"]
     evaluated = json.loads(Path("run/metrics.manifest.json").read_text())
     assert evaluated["command"] == "evaluate"
     assert evaluated["outcome"] == "success"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsift.geo import haversine_m
+from tripsift.geo import circular_diff_deg, haversine_m, initial_bearing_deg, normalize_bearing_deg
 from tripsift.matching import (
     MatchRejected,
     SegmentGrid,
+    SnapResult,
     build_spatial_index,
     match_trip,
     nearest_segment,
@@ -203,14 +204,53 @@ def test_random_nearest_segment_equals_brute_force(case):
                 assert (got.distance_m, got.segment_id) == want
 
 
+def row_of(snaps, i):
+    """Row i of an array-form result, in the scalar form: a SnapResult or None."""
+    if snaps.segment_id[i] == -1:
+        assert all(math.isnan(f[i]) for f in (snaps.distance_m, snaps.lat, snaps.lon))
+        return None
+    return snaps.at(i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(snap_cases())
+def test_random_array_nearest_segment_equals_scalar_calls(case):
+    network, queries = case
+    lats = np.array([lat for lat, _ in queries])
+    lons = np.array([lon for _, lon in queries])
+    for radius in (50.0, 1e9):
+        snaps = nearest_segment(lats, lons, network, radius)
+        for i, (lat, lon) in enumerate(queries):
+            assert row_of(snaps, i) == nearest_segment(lat, lon, network, radius)
+    # each row also at its own best distance, and one ulp below it
+    for i, (lat, lon) in enumerate(queries):
+        best = brute_force_nearest(lat, lon, network, math.inf)[0]
+        for radius in [best, math.nextafter(best, 0.0)] if best > 0.0 else [best]:
+            snaps = nearest_segment(lats, lons, network, radius)
+            assert row_of(snaps, i) == nearest_segment(lat, lon, network, radius)
+
+
 def test_travel_direction():
     assert travel_direction(90.0, 90.0) == 1
     assert travel_direction(270.0, 90.0) == -1
     assert travel_direction(85.0, 90.0) == 1
     assert travel_direction(200.0, 90.0) == -1
-    # perpendicular course counts as forward
+    # perpendicular course counts as forward, on either side and across north
     assert travel_direction(0.0, 90.0) == 1
     assert travel_direction(180.0, 90.0) == 1
+    assert travel_direction(0.0, 270.0) == 1
+    assert travel_direction(270.0, 0.0) == 1
+    assert travel_direction(90.0, 0.0) == 1
+    assert travel_direction(-90.0, 0.0) == 1
+    assert travel_direction(90.0, 180.0) == 1
+    assert travel_direction(270.0, 180.0) == 1
+    assert travel_direction(math.nextafter(270.0, 0.0), 0.0) == -1
+    assert travel_direction(math.nextafter(90.0, 180.0), 0.0) == -1
+    # the array form decides element by element as the scalar form does
+    cogs = np.array([0.0, 270.0, 90.0, 200.0, 85.0, 359.5])
+    bearings = np.array([270.0, 0.0, 0.0, 90.0, 90.0, 0.5])
+    assert travel_direction(cogs, bearings).tolist() == [
+        travel_direction(c, b) for c, b in zip(cogs.tolist(), bearings.tolist())]
 
 
 def line_trip(latlons, cogs, driver=1, trip=1):
@@ -274,3 +314,68 @@ def test_match_trip_empty_match_rejected(line_network):
     with pytest.raises(MatchRejected) as info:
         match_trip(trip, line_network, config)
     assert info.value.reason == "empty_match"
+
+
+def reference_match(trip, network, config):
+    """Per-point reference: brute-force nearest segment, then the direction
+    rule on circular_diff_deg; returns (points, edges, snaps)."""
+    points, edges, snaps = [], [], []
+    for p in trip.points:
+        best = brute_force_nearest(p.lat, p.lon, network, config.max_snap_distance_m)
+        if best is None:
+            continue
+        a, b = network.segment_endpoints(best[1])
+        _, plat, plon = point_segment_distance(p.lat, p.lon, a, b)
+        bearing = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)  # ValueError if a == b
+        points.append(p)
+        edges.append((best[1], 1 if circular_diff_deg(p.cog_deg, bearing) <= 90.0 else -1))
+        snaps.append(SnapResult(best[1], best[0], plat, plon))
+    return points, edges, snaps
+
+
+@st.composite
+def trip_cases(draw):
+    """A snap_cases network, a trip through its query points, and a config.
+
+    Courses are arbitrary, compass points, or a segment's own bearing
+    turned by +-90 or 180 degrees, so exactly perpendicular courses occur.
+    """
+    network, queries = draw(snap_cases())
+    spots = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=40))
+    bearings = [initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
+                for a, b in map(network.segment_endpoints, network.segments)
+                if (a.lat, a.lon) != (b.lat, b.lon)]
+    courses = st.floats(0.0, 360.0, exclude_max=True) | st.sampled_from([0.0, 90.0, 180.0, 270.0])
+    if bearings:
+        courses |= st.builds(lambda b, turn: normalize_bearing_deg(b + turn),
+                             st.sampled_from(bearings), st.sampled_from([90.0, -90.0, 180.0]))
+    points = [TrajectoryPoint(1, 1, i, 100 + i, lat, lon, 10.0, draw(courses))
+              for i, (lat, lon) in enumerate(spots)]
+    config = AnalysisConfig(max_snap_distance_m=draw(st.sampled_from([5.0, 50.0, 500.0])),
+                            min_matched_fraction=draw(st.floats(0.01, 1.0)))
+    return network, Trip(1, 1, points), config
+
+
+@settings(max_examples=200, deadline=None)
+@given(trip_cases())
+def test_random_match_trip_equals_per_point_reference(case):
+    network, trip, config = case
+    try:
+        points, edges, snaps = reference_match(trip, network, config)
+    except ValueError:
+        with pytest.raises(ValueError):
+            match_trip(trip, network, config)
+        return
+    fraction = len(points) / len(trip.points)
+    if not points or fraction < config.min_matched_fraction:
+        with pytest.raises(MatchRejected) as info:
+            match_trip(trip, network, config)
+        assert info.value.reason == ("poor_match" if points else "empty_match")
+        assert (info.value.n_matched, info.value.matched_fraction) == (len(points), fraction)
+        return
+    matched = match_trip(trip, network, config)
+    assert matched.points == points
+    assert matched.edges == edges
+    assert matched.first_snap == snaps[0]
+    assert matched.last_snap == snaps[-1]
+    assert matched.matched_fraction == fraction

@@ -28,6 +28,10 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     assert result.counts["trips_scored"] == n_trips
     assert result.counts["trips_match_rejected"] == 0
     assert result.counts["drivers"] == small_dataset.n_drivers
+    network = parse_road_network(small_dataset.nodes_path, small_dataset.segments_path)
+    trips, _ = parse_trips(small_dataset.trips_path)
+    assert result.counts["points_matched"] == sum(
+        len(match_trip(trip, network, CONFIG).points) for trip in trips)
 
     for name in ("features", "trip_scores", "driver_report", "summary", "model"):
         assert result.outputs[name].exists()

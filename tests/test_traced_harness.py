@@ -1,0 +1,45 @@
+"""The benchmark's traced run still finds every layer it measures.
+
+perfbench/traced.py wraps named functions of the package from outside
+and derives the per-layer metrics from those wrappers. A renamed or
+no longer called function makes a metric absent, so one small traced
+run here must report all of them.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+
+
+def load_traced():
+    spec = importlib.util.spec_from_file_location("perfbench_traced", TRACED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pipeline_reports_every_layer_metric(small_dataset, tmp_path):
+    spans_path, out = tmp_path / "spans.json", tmp_path / "run"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, str(TRACED), str(spans_path), "pipeline",
+            "--nodes", str(small_dataset.nodes_path),
+            "--segments", str(small_dataset.segments_path),
+            "--trips", str(small_dataset.trips_path), "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+    spans = json.loads(spans_path.read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    metrics, absent = load_traced().layer_metrics(spans, summary, [1.0], [1.0], 1.0)
+    assert spans["missing"] == []
+    assert absent == []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) == {m["name"] for m in declared}
+    # the matcher snaps each trip's points in one nearest_segment call
+    assert metrics["matching.queries"] == summary["counts"]["trips_parsed"]
