@@ -35,7 +35,7 @@ from .features import read_feature_table
 from .iforest import load_model
 from .matching import MatchRejected
 from .model import AnalysisConfig
-from .pipeline import (EmptyPipelineError, ingest_inputs, match_all, run_pipeline,
+from .pipeline import (EmptyPipelineError, StageLog, ingest_inputs, match_all, run_pipeline,
                        score_and_write)
 from .scoring import read_driver_classifications
 from .synth import SynthSpec, generate_dataset
@@ -298,10 +298,11 @@ def cmd_match(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "match", vals,
                          [nodes_path, segments_path, trips_path]) as manifest:
-        manifest.stages = {}
+        stages = StageLog()
+        manifest.stages = stages.seconds
         network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
-                                               config, manifest.stages)
-        results = match_all(trips, network, config, manifest.stages)
+                                               config, stages)
+        results = match_all(trips, network, config, stages)
         matrices_dir = out / "matrices"
         matrices_dir.mkdir(exist_ok=True)
         n_matched = 0
@@ -311,14 +312,14 @@ def cmd_match(args: argparse.Namespace) -> int:
                              "matched_fraction", "status"])
             for trip, matched in zip(trips, results):
                 if isinstance(matched, MatchRejected):
-                    writer.writerow([trip.driver_id, trip.trip_id, len(trip.points),
+                    writer.writerow([trip.driver_id, trip.trip_id, len(trip),
                                      matched.n_matched, f"{matched.matched_fraction:.4f}",
                                      matched.reason])
                     continue
                 graph = build_trip_graph(matched, network)
                 write_matrix_csv(graph, matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv")
-                writer.writerow([trip.driver_id, trip.trip_id, len(trip.points),
-                                 len(matched.points), f"{matched.matched_fraction:.4f}", "matched"])
+                writer.writerow([trip.driver_id, trip.trip_id, len(trip),
+                                 len(matched.kept), f"{matched.matched_fraction:.4f}", "matched"])
                 n_matched += 1
         manifest.counts = {"trips": len(trips), "matched": n_matched,
                            **{f"points_{k}": v for k, v in report.rejection_reasons.items()}}
@@ -335,10 +336,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.features)] + ([Path(args.model)] if args.model else [])
     with _ManifestWriter(out / "manifest.json", "score", vals, inputs) as manifest:
-        manifest.stages = {}
+        stages = StageLog()
+        manifest.stages = stages.seconds
         table = read_feature_table(args.features)
         trip_scores, reports, _, _ = score_and_write(
-            table, config, out, [], manifest.stages,
+            table, config, out, [], stages,
             per_category=vals["per_category"],
             model=load_model(args.model) if args.model else None,
             save_model_json=vals["save_model"])

@@ -2,7 +2,9 @@
 
 Network files are authoritative infrastructure: any structural problem
 raises with a 1-based line number. Trajectory files are field data:
-bad rows are rejected row by row and tallied in the ingest report.
+they are read a block of rows at a time into numpy columns, each bad
+row is rejected with a reason code and tallied in the ingest report,
+and the accepted points become columnar trips.
 """
 
 from __future__ import annotations
@@ -10,14 +12,18 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .geo import haversine_m
-from .model import RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint, Trip
+from .model import FLOAT_COLUMNS, TRIP_COLUMNS, RoadNetwork, RoadNode, RoadSegment, Trip
 
 log = logging.getLogger(__name__)
 
@@ -145,93 +151,164 @@ def parse_road_network(nodes_path: str | Path, segments_path: str | Path) -> Roa
     return network
 
 
-def _reject(report: IngestReport, reason: str, lineno: int) -> None:
-    report.n_points_rejected += 1
-    report.rejection_reasons[reason] += 1
-    log.debug("rejected row at line %d: %s", lineno, reason)
+# rejection reason codes, in the order a row is checked; code 0 accepts the row
+REASONS = (None, "bad_field_count", "non_numeric", "lat_out_of_range", "lon_out_of_range",
+           "speed_out_of_range", "direction_out_of_range", "negative_event_count",
+           "duplicate_timestamp")
+_CODE = {reason: code for code, reason in enumerate(REASONS) if reason}
+BLOCK_ROWS = 4096           # rows read and converted at a time
+
+
+def _convert(texts: Sequence[str], kind: type, bad: np.ndarray) -> np.ndarray:
+    """One column of a block, converted with int or float; sets bad where a
+    text does not parse (for int, also where it falls outside int64)."""
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, texts), dtype, len(texts))
+    except (ValueError, OverflowError):
+        pass
+    out = np.zeros(len(texts), dtype)
+    for i, text in enumerate(texts):
+        try:
+            out[i] = kind(text)
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return out
+
+
+def _check_rows(rows: list[list[str]], fields: list[tuple[str, int, type]]
+                ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Convert rows that have every field into columns, one per (name,
+    position, int or float) in fields, and give each row the code of the
+    first per-row check it fails, or 0."""
+    texts = list(zip(*rows))
+    bad = np.zeros(len(rows), bool)
+    values = {name: _convert(texts[col], kind, bad) for name, col, kind in fields}
+    lat, lon, speed, cog = values["lat"], values["lon"], values["speed_mps"], values["cog_deg"]
+    checks = [
+        ("non_numeric", bad),
+        ("lat_out_of_range", ~((lat >= -90.0) & (lat <= 90.0))),
+        ("lon_out_of_range", ~((lon >= -180.0) & (lon <= 180.0))),
+        ("speed_out_of_range", ~(np.isfinite(speed) & (speed >= 0.0))),
+        ("direction_out_of_range", ~((cog >= 0.0) & (cog < 360.0))),
+    ]
+    if "hard_accel" in values:
+        checks.append(("negative_event_count",
+                       (values["hard_accel"] < 0) | (values["hard_brake"] < 0)))
+    code = np.zeros(len(rows), np.int8)
+    for reason, failed in checks:
+        code[(code == 0) & failed] = _CODE[reason]
+    return code, values
+
+
+def _read_columns(reader: Iterable[list[str]], fields: list[tuple[str, int, type]], width: int
+                  ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, list[int]]:
+    """Read every row, BLOCK_ROWS at a time. Returns the reason code of each
+    row read (blank lines are not rows), the columns of the rows that passed
+    the per-row checks with the index of each among the rows read, and, per
+    blank line, the number of rows read before it."""
+    codes: list[np.ndarray] = []
+    parts: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in fields}
+    kept_rows: list[np.ndarray] = []
+    blanks: list[int] = []
+    n_read = 0
+    for block in iter(lambda: list(islice(reader, BLOCK_ROWS)), []):
+        if not all(block):
+            rows_before = n_read
+            for row in block:
+                if row:
+                    rows_before += 1
+                else:
+                    blanks.append(rows_before)
+            block = [row for row in block if row]
+        code = np.zeros(len(block), np.int8)
+        short = np.fromiter(map(len, block), np.intp, len(block)) < width
+        code[short] = _CODE["bad_field_count"]
+        rows = [row for row, s in zip(block, short.tolist()) if not s]
+        if rows:
+            row_code, values = _check_rows(rows, fields)
+            code[~short] = row_code
+            for name, column_parts in parts.items():
+                column_parts.append(values[name][row_code == 0])
+            kept_rows.append(n_read + np.flatnonzero(code == 0))
+        codes.append(code)
+        n_read += len(block)
+
+    # each column's blocks are freed as soon as it is joined, which bounds the peak memory
+    columns = {}
+    for name in list(parts):
+        blocks = parts.pop(name)
+        columns[name] = np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
+        del blocks
+    return (np.concatenate(codes) if codes else np.zeros(0, np.int8), columns,
+            np.concatenate(kept_rows) if kept_rows else np.zeros(0, np.intp), blanks)
 
 
 def parse_trips(path: str | Path) -> tuple[list[Trip], IngestReport]:
-    """Read a trajectory CSV into trips grouped by (driver_id, trip_id).
+    """Read a trajectory CSV into columnar trips grouped by (driver_id, trip_id).
 
-    Points are sorted by timestamp within each trip. Out-of-range or
-    unparsable rows are rejected with a reason code; for duplicated
-    timestamps within a trip the first row wins. Trips left with fewer
-    than 2 points are dropped and their points counted as rejected.
-    Returned trips are ordered by (driver_id, trip_id).
-
-    Reason codes: bad_field_count, non_numeric, lat_out_of_range,
+    Rows are read and converted BLOCK_ROWS at a time, with Python's int
+    and float, so a field is numeric exactly when those accept it;
+    integer fields must also fit int64. Each row gets the first reason
+    code that applies, checked in this order: bad_field_count (fewer
+    fields than the header), non_numeric, lat_out_of_range,
     lon_out_of_range, speed_out_of_range, direction_out_of_range,
-    negative_event_count, duplicate_timestamp, trip_too_short.
+    negative_event_count, duplicate_timestamp (the first row in file
+    order of a (driver, trip, timestamp) key wins). Blank lines are not
+    rows. Trips left with fewer than 2 points are dropped and their
+    points counted as trip_too_short. Points are sorted by timestamp
+    within each trip, and trips by (driver_id, trip_id).
     """
     with _read_rows(path, TRAJECTORY_COLUMNS) as (header, reader):
         has_events = all(c in header for c in EVENT_COLUMNS)
         if not has_events and any(c in header for c in EVENT_COLUMNS):
             raise ValueError(f"{path}: header must include both of {EVENT_COLUMNS} or neither")
-        col = {name: header.index(name) for name in TRAJECTORY_COLUMNS}
-        if has_events:
-            col.update({name: header.index(name) for name in EVENT_COLUMNS})
+        fields = [(name, header.index(name), float if name in FLOAT_COLUMNS else int)
+                  for name in ["driver_id", "trip_id", *TRIP_COLUMNS]
+                  if has_events or name not in EVENT_COLUMNS]
+        code, col, row_index, blanks = _read_columns(reader, fields, len(header))
+    for name in EVENT_COLUMNS:
+        col.setdefault(name, np.zeros(len(col["timestamp"]), np.int64))
 
-        report = IngestReport(has_event_columns=has_events)
-        groups: dict[tuple[int, int], list[TrajectoryPoint]] = {}
-        seen_ts: dict[tuple[int, int], set[int]] = {}
+    # a stable sort keeps equal (driver, trip, timestamp) keys in file order,
+    # so the first of them is the one kept; columns are reordered one at a time
+    order = np.lexsort((col["timestamp"], col["trip_id"], col["driver_id"]))
+    for name in col:
+        col[name] = col[name][order]
+    driver, trip, stamp = col["driver_id"], col["trip_id"], col["timestamp"]
+    new_trip = np.ones(len(order), bool)
+    new_trip[1:] = (driver[1:] != driver[:-1]) | (trip[1:] != trip[:-1])
+    duplicate = np.zeros(len(order), bool)
+    duplicate[1:] = ~new_trip[1:] & (stamp[1:] == stamp[:-1])
+    code[row_index[order[duplicate]]] = _CODE["duplicate_timestamp"]
+    keep = ~duplicate
+    del driver, trip, stamp, order, row_index     # so each old column is freed when replaced
+    for name in col:
+        col[name] = col[name][keep]
+    bounds = np.append(np.flatnonzero(new_trip[keep]), len(col["timestamp"]))
 
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            report.n_points_read += 1
-            if len(row) < len(header):
-                _reject(report, "bad_field_count", lineno)
-                continue
-            try:
-                driver_id = int(row[col["driver_id"]])
-                trip_id = int(row[col["trip_id"]])
-                point_id = int(row[col["point_id"]])
-                timestamp = int(row[col["timestamp"]])
-                lat = float(row[col["lat"]])
-                lon = float(row[col["lon"]])
-                speed = float(row[col["speed_mps"]])
-                cog = float(row[col["cog_deg"]])
-                hard_accel = int(row[col["hard_accel"]]) if has_events else 0
-                hard_brake = int(row[col["hard_brake"]]) if has_events else 0
-            except ValueError:
-                _reject(report, "non_numeric", lineno)
-                continue
-            if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-                _reject(report, "lat_out_of_range", lineno)
-                continue
-            if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
-                _reject(report, "lon_out_of_range", lineno)
-                continue
-            if not math.isfinite(speed) or speed < 0.0:
-                _reject(report, "speed_out_of_range", lineno)
-                continue
-            if not math.isfinite(cog) or not 0.0 <= cog < 360.0:
-                _reject(report, "direction_out_of_range", lineno)
-                continue
-            if hard_accel < 0 or hard_brake < 0:
-                _reject(report, "negative_event_count", lineno)
-                continue
-            key = (driver_id, trip_id)
-            stamps = seen_ts.setdefault(key, set())
-            if timestamp in stamps:
-                _reject(report, "duplicate_timestamp", lineno)
-                continue
-            stamps.add(timestamp)
-            groups.setdefault(key, []).append(
-                TrajectoryPoint(driver_id, trip_id, point_id, timestamp,
-                                lat, lon, speed, cog, hard_accel, hard_brake)
-            )
-
+    report = IngestReport(has_event_columns=has_events, n_points_read=len(code))
+    present, first = np.unique(code, return_index=True)
+    for c in present[np.argsort(first)].tolist():
+        if c:
+            report.rejection_reasons[REASONS[c]] = int(np.count_nonzero(code == c))
     trips: list[Trip] = []
-    for key in sorted(groups):
-        points = sorted(groups[key], key=lambda p: p.timestamp)
-        if len(points) < 2:
-            report.n_points_rejected += len(points)
-            report.rejection_reasons["trip_too_short"] += len(points)
+    n_short = 0
+    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if e - s < 2:
+            n_short += e - s
             continue
-        trips.append(Trip(driver_id=key[0], trip_id=key[1], points=points))
+        trips.append(Trip(int(col["driver_id"][s]), int(col["trip_id"][s]),
+                          **{name: col[name][s:e] for name in TRIP_COLUMNS}))
+    if n_short:
+        report.rejection_reasons["trip_too_short"] = n_short
+    report.n_points_rejected = int(np.count_nonzero(code)) + n_short
     report.n_trips = len(trips)
+    if log.isEnabledFor(logging.DEBUG):
+        for i in np.flatnonzero(code).tolist():
+            # blank lines still count as lines of the file
+            log.debug("rejected row at line %d: %s", i + 2 + bisect_right(blanks, i),
+                      REASONS[code[i]])
     return trips, report
 
 
@@ -241,12 +318,14 @@ def write_trips(trips: Iterable[Trip], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS + EVENT_COLUMNS)
         for trip in trips:
-            for p in trip.points:
-                writer.writerow([
-                    p.driver_id, p.trip_id, p.point_id, p.timestamp,
-                    repr(p.lat), repr(p.lon), repr(p.speed_mps), repr(p.cog_deg),
-                    p.hard_accel, p.hard_brake,
-                ])
+            n = len(trip)
+            # tolist gives Python ints and floats, whose repr the schema uses
+            writer.writerows(zip(
+                repeat(trip.driver_id, n), repeat(trip.trip_id, n),
+                trip.point_id.tolist(), trip.timestamp.tolist(),
+                map(repr, trip.lat.tolist()), map(repr, trip.lon.tolist()),
+                map(repr, trip.speed_mps.tolist()), map(repr, trip.cog_deg.tolist()),
+                trip.hard_accel.tolist(), trip.hard_brake.tolist()))
 
 
 def write_network(network: RoadNetwork, nodes_path: str | Path, segments_path: str | Path) -> None:

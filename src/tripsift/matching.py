@@ -1,9 +1,10 @@
 """Map matching: snap GPS points onto nearby road segments.
 
-A matched trip keeps the points that snapped, the directed edge key
-(segment_id, direction) of each, and the snap results of its first and
-last matched points. nearest_segment is the one snapping function: it
-takes one point, or the lat/lon arrays of a whole trip.
+A matched trip keeps its trip's columns, the indices of the points that
+snapped, the directed edge (segment_id and direction arrays) of each,
+and the snap results of its first and last matched points.
+nearest_segment is the one snapping function: it takes one point, or
+the lat/lon columns of a whole trip.
 
 Candidate lookup runs on a uniform grid keyed by a fixed equirectangular
 projection of the network's bounding box. A point's candidates are every
@@ -26,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .geo import EARTH_RADIUS_M, initial_bearing_deg
-from .model import AnalysisConfig, RoadNetwork, RoadNode, TrajectoryPoint, Trip
+from .model import AnalysisConfig, RoadNetwork, RoadNode, Trip
 
 DEFAULT_CELL_SIZE_M = 200.0
 
@@ -68,21 +69,20 @@ class SnapResult:
                           float(self.lat[i]), float(self.lon[i]))
 
 
-EdgeKey = tuple[int, int]  # (segment_id, direction): +1 with segment orientation, -1 against
-
-
 @dataclass
 class MatchedTrip:
-    """The points of a trip that snapped, each with its directed edge key.
+    """A trip and the points of it that snapped.
 
-    edges[i] is the key of points[i]; first_snap and last_snap are the
-    snap results of the first and last of those points.
+    kept holds the indices of those points into the trip's columns, in
+    order; segment_id and direction hold the directed edge of each (+1
+    with the segment's from->to orientation, -1 against it). first_snap
+    and last_snap are the snap results of the first and last of them.
     """
 
-    driver_id: int
-    trip_id: int
-    points: list[TrajectoryPoint]
-    edges: list[EdgeKey]
+    trip: Trip
+    kept: np.ndarray
+    segment_id: np.ndarray
+    direction: np.ndarray
     first_snap: SnapResult
     last_snap: SnapResult
     matched_fraction: float
@@ -192,12 +192,6 @@ class SegmentGrid:
             [math.nan if (a.lat, a.lon) == (b.lat, b.lon)
              else initial_bearing_deg(a.lat, a.lon, b.lat, b.lon) for a, b in ends],
             dtype=float)
-        # the (segment_id, +1) and (segment_id, -1) keys of each position, built once
-        # so that matched trips share them instead of holding one tuple per point
-        self.edge_keys = np.empty((len(ids), 2), dtype=object)
-        for k, seg_id in enumerate(ids):
-            self.edge_keys[k, 0] = (seg_id, 1)
-            self.edge_keys[k, 1] = (seg_id, -1)
         self._boxes: dict[tuple[int, int, int, int], np.ndarray] = {}
 
     def project(self, lat: float, lon: float) -> tuple[float, float]:
@@ -336,7 +330,8 @@ def travel_direction(
 
 
 def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> MatchedTrip:
-    """Snap every point of a trip to its nearest segment, in one nearest_segment call.
+    """Snap every point of a trip to its nearest segment, in one nearest_segment
+    call on the trip's lat/lon columns.
 
     Points with no segment within config.max_snap_distance_m are
     dropped. The trip is rejected when nothing matches or when the
@@ -347,11 +342,8 @@ def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> Matc
         ValueError: a point snapped to a zero-length segment, whose
             direction is undefined.
     """
-    points = trip.points
-    n = len(points)
-    lat = np.fromiter([p.lat for p in points], float, n)
-    lon = np.fromiter([p.lon for p in points], float, n)
-    snaps = nearest_segment(lat, lon, network, config.max_snap_distance_m)
+    n = len(trip)
+    snaps = nearest_segment(trip.lat, trip.lon, network, config.max_snap_distance_m)
     kept = np.flatnonzero(snaps.segment_id >= 0)
     grid = _grid_of(network)
     pos = np.searchsorted(grid.segment_ids, snaps.segment_id[kept])
@@ -365,10 +357,6 @@ def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> Matc
     if fraction < config.min_matched_fraction:
         raise MatchRejected("poor_match", trip.driver_id, trip.trip_id, len(kept), fraction)
 
-    kept_list = kept.tolist()
-    cog = np.fromiter([points[i].cog_deg for i in kept_list], float, len(kept_list))
-    backward = travel_direction(cog, bearing) < 0
-    return MatchedTrip(trip.driver_id, trip.trip_id,
-                       [points[i] for i in kept_list],
-                       grid.edge_keys[pos, backward.astype(np.intp)].tolist(),
-                       snaps.at(kept_list[0]), snaps.at(kept_list[-1]), fraction)
+    return MatchedTrip(trip, kept, grid.segment_ids[pos],
+                       travel_direction(trip.cog_deg[kept], bearing),
+                       snaps.at(kept[0]), snaps.at(kept[-1]), fraction)

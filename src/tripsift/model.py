@@ -1,12 +1,21 @@
-"""Shared domain types: trajectory points, trips, the road network, run config."""
+"""Shared domain types: trajectory points, columnar trips, the road network, run config."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .matching import SegmentGrid
+
+
+# the per-point columns of a Trip, and those of them that hold floats (the rest hold int64)
+TRIP_COLUMNS = ("point_id", "timestamp", "lat", "lon", "speed_mps", "cog_deg",
+                "hard_accel", "hard_brake")
+FLOAT_COLUMNS = ("lat", "lon", "speed_mps", "cog_deg")
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,22 +34,48 @@ class TrajectoryPoint:
     hard_brake: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class Trip:
-    """A time-ordered sequence of points for one (driver, trip) key."""
+    """One (driver, trip) key's points as equal-length columns, in strictly
+    increasing timestamp order.
+
+    Integer columns are int64 and the rest float64. Build one from
+    TrajectoryPoint records with Trip.from_points.
+    """
 
     driver_id: int
     trip_id: int
-    points: list[TrajectoryPoint]
+    point_id: np.ndarray
+    timestamp: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    speed_mps: np.ndarray
+    cog_deg: np.ndarray
+    hard_accel: np.ndarray
+    hard_brake: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) < 2:
+        n = len(self.timestamp)
+        if any(len(getattr(self, name)) != n for name in TRIP_COLUMNS):
+            raise ValueError(f"trip ({self.driver_id},{self.trip_id}) columns differ in length")
+        if n < 2:
             raise ValueError(f"trip ({self.driver_id},{self.trip_id}) has fewer than 2 points")
-        for a, b in zip(self.points, self.points[1:]):
-            if b.timestamp <= a.timestamp:
-                raise ValueError(
-                    f"trip ({self.driver_id},{self.trip_id}) timestamps not strictly increasing"
-                )
+        # compared, not differenced: a difference of two int64 stamps can wrap
+        if not (self.timestamp[1:] > self.timestamp[:-1]).all():
+            raise ValueError(
+                f"trip ({self.driver_id},{self.trip_id}) timestamps not strictly increasing"
+            )
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    @classmethod
+    def from_points(cls, driver_id: int, trip_id: int, points: Sequence[TrajectoryPoint]) -> "Trip":
+        """The trip of these points, in the order given."""
+        return cls(driver_id, trip_id, **{
+            name: np.array([getattr(p, name) for p in points],
+                           dtype=np.float64 if name in FLOAT_COLUMNS else np.int64)
+            for name in TRIP_COLUMNS})
 
 
 @dataclass(frozen=True)
@@ -89,8 +124,8 @@ class AnalysisConfig:
     hard_event_accel_threshold: float = 3.0   # m/s^2; symmetric for brakes
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0 meters")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError("alpha must be a finite number >= 0 meters")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
         if not 0.0 <= self.trip_score_threshold <= 1.0:
@@ -103,9 +138,10 @@ class AnalysisConfig:
             raise ValueError("n_trees must be >= 1")
         if self.subsample_size < 2:
             raise ValueError("subsample_size must be >= 2")
-        if self.max_snap_distance_m <= 0.0:
-            raise ValueError("max_snap_distance_m must be positive")
+        if not (math.isfinite(self.max_snap_distance_m) and self.max_snap_distance_m > 0.0):
+            raise ValueError("max_snap_distance_m must be a finite positive number")
         if not 0.0 < self.min_matched_fraction <= 1.0:
             raise ValueError("min_matched_fraction must lie in (0, 1]")
-        if self.hard_event_accel_threshold <= 0.0:
-            raise ValueError("hard_event_accel_threshold must be positive")
+        if not (math.isfinite(self.hard_event_accel_threshold)
+                and self.hard_event_accel_threshold > 0.0):
+            raise ValueError("hard_event_accel_threshold must be a finite positive number")

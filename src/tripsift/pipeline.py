@@ -4,7 +4,8 @@ The run is a chain of named stages that the match and score subcommands
 also call on their own: ingest_inputs (network and trips, with hard
 events derived when the file has none), match_all (every trip, results
 in input order) and score_and_write (forest scores, driver ranking,
-score files). Each stage adds its time to a stage_seconds dict.
+score files). Each stage adds its time to a StageLog, which also keeps
+the process's peak RSS as the stage ended.
 
 Outputs land in one directory: features.csv, trip_scores.csv,
 driver_report.csv, summary.json (and model.json on request). On any
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -52,6 +54,7 @@ class PipelineResult:
     model: IForestModel
     contamination_threshold: float
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    stage_peak_rss_mb: dict[str, float] = field(default_factory=dict)
     outputs: dict[str, Path] = field(default_factory=dict)
 
     @property
@@ -68,12 +71,22 @@ class PipelineResult:
         }
 
 
-@contextmanager
-def _timed(stage_seconds: dict[str, float], stage: str) -> Iterator[None]:
-    """Add the time spent in the block to stage_seconds[stage]."""
-    t0 = time.perf_counter()
-    yield
-    stage_seconds[stage] = stage_seconds.get(stage, 0.0) + time.perf_counter() - t0
+@dataclass
+class StageLog:
+    """Seconds spent per stage, and the process's peak RSS in MB (its
+    high-water mark, ru_maxrss, which Linux reports in KiB) when each
+    stage last ended."""
+
+    seconds: dict[str, float] = field(default_factory=dict)
+    peak_rss_mb: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def timed(self, stage: str) -> Iterator[None]:
+        """Add the time spent in the block to seconds[stage]."""
+        t0 = time.perf_counter()
+        yield
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - t0
+        self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def ingest_inputs(
@@ -81,24 +94,22 @@ def ingest_inputs(
     segments_path: Union[str, Path],
     trips_path: Union[str, Path],
     config: AnalysisConfig,
-    stage_seconds: dict[str, float],
+    stages: StageLog,
 ) -> tuple[RoadNetwork, list[Trip], IngestReport]:
     """Read the network and the trips; derive hard events when the trip file has none."""
-    with _timed(stage_seconds, "ingest"):
+    with stages.timed("ingest"):
         network = parse_road_network(nodes_path, segments_path)
         trips, report = parse_trips(trips_path)
     log.info("ingest: %d points read, %d rejected, %d trips, %d segments",
              report.n_points_read, report.n_points_rejected, report.n_trips,
              len(network.segments))
-    with _timed(stage_seconds, "events"):
+    with stages.timed("events"):
         if not report.has_event_columns and trips:
             log.info("no event columns in input; deriving hard events at %.1f m/s^2",
                      config.hard_event_accel_threshold)
-            trips = [
-                Trip(t.driver_id, t.trip_id,
-                     detect_events(t.points, config.hard_event_accel_threshold))
-                for t in trips
-            ]
+            for t in trips:
+                t.hard_accel, t.hard_brake = detect_events(
+                    t.timestamp, t.speed_mps, config.hard_event_accel_threshold)
     return network, trips, report
 
 
@@ -106,11 +117,11 @@ def match_all(
     trips: list[Trip],
     network: RoadNetwork,
     config: AnalysisConfig,
-    stage_seconds: dict[str, float],
+    stages: StageLog,
 ) -> list[Union[MatchedTrip, MatchRejected]]:
     """Match every trip; each result is the matched trip or its rejection, in input order."""
     results: list[Union[MatchedTrip, MatchRejected]] = []
-    with _timed(stage_seconds, "match"):
+    with stages.timed("match"):
         for trip in trips:
             try:
                 results.append(match_trip(trip, network, config))
@@ -124,7 +135,7 @@ def score_and_write(
     config: AnalysisConfig,
     out: Path,
     written: list[Path],
-    stage_seconds: dict[str, float],
+    stages: StageLog,
     per_category: bool = False,
     model: Optional[IForestModel] = None,
     save_model_json: bool = False,
@@ -139,13 +150,13 @@ def score_and_write(
     """
     if len(table) < 2:
         raise EmptyPipelineError("fewer than 2 trips available to score")
-    with _timed(stage_seconds, "score"):
+    with stages.timed("score"):
         trip_scores, model = score_trips(table, config, per_category=per_category, model=model)
         reports = aggregate_drivers(trip_scores, config)
     log.info("score: %d trips, %d drivers, %d drivers classified abnormal",
              len(trip_scores), len(reports), sum(1 for r in reports if r.abnormal))
 
-    with _timed(stage_seconds, "write"):
+    with stages.timed("write"):
         outputs = {"trip_scores": out / "trip_scores.csv",
                    "driver_report": out / "driver_report.csv"}
         if save_model_json:
@@ -202,13 +213,13 @@ def _run(
     save_model_json: bool,
     written: list[Path],
 ) -> PipelineResult:
-    stage_seconds: dict[str, float] = {}
+    stages = StageLog()
     network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
-                                           config, stage_seconds)
+                                           config, stages)
     if not trips:
         raise EmptyPipelineError("no trips parsed from input")
 
-    results = match_all(trips, network, config, stage_seconds)
+    results = match_all(trips, network, config, stages)
     matched = [r for r in results if isinstance(r, MatchedTrip)]
     rejections: dict[str, int] = {}
     for r in results:
@@ -220,7 +231,7 @@ def _run(
     if not matched:
         raise EmptyPipelineError("no trips matched the network")
 
-    with _timed(stage_seconds, "graphs"):
+    with stages.timed("graphs"):
         graphs = [build_trip_graph(m, network) for m in matched]
         kept, dropped = filter_by_min_length(graphs, config.alpha)
     log.info("graphs: %d trips kept, %d below min length %.1f m",
@@ -228,11 +239,11 @@ def _run(
     if not kept:
         raise EmptyPipelineError(f"no trips pass the minimum length filter (alpha={config.alpha})")
 
-    with _timed(stage_seconds, "features"):
+    with stages.timed("features"):
         table = extract_feature_table(kept)
 
     trip_scores, reports, model, outputs = score_and_write(
-        table, config, out, written, stage_seconds,
+        table, config, out, written, stages,
         per_category=per_category, save_model_json=save_model_json)
     threshold = threshold_from_contamination([ts.score for ts in trip_scores],
                                              config.contamination)
@@ -243,18 +254,19 @@ def _run(
         ingest_report=report,
         n_match_rejected=len(results) - len(matched),
         match_rejections=rejections,
-        n_points_matched=sum(len(m.points) for m in matched),
+        n_points_matched=sum(len(m.kept) for m in matched),
         n_alpha_dropped=len(dropped),
         table=table,
         trip_scores=trip_scores,
         driver_reports=reports,
         model=model,
         contamination_threshold=threshold,
-        stage_seconds=stage_seconds,
+        stage_seconds=stages.seconds,
+        stage_peak_rss_mb=stages.peak_rss_mb,
         outputs=outputs,
     )
     # summary.json gets the stage times so far; these last writes reach only the manifest
-    with _timed(stage_seconds, "write"):
+    with stages.timed("write"):
         write_feature_table(table, outputs["features"])
         _write_summary(result, outputs["summary"])
     return result
@@ -265,6 +277,7 @@ def _write_summary(result: PipelineResult, path: Path) -> None:
         "config": asdict(result.config),
         "counts": result.counts,
         "stage_seconds": dict(result.stage_seconds),
+        "stage_peak_rss_mb": dict(result.stage_peak_rss_mb),
         "match_rejections": result.match_rejections,
         "rejection_reasons": dict(result.ingest_report.rejection_reasons),
         "contamination_threshold": result.contamination_threshold,

@@ -14,7 +14,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class PlannedTrip:
     kind: Optional[str] = None
 
     def to_trip(self) -> Trip:
-        return Trip(driver_id=self.driver_id, trip_id=self.trip_id, points=list(self.points))
+        return Trip.from_points(self.driver_id, self.trip_id, self.points)
 
 
 @dataclass
@@ -404,27 +404,31 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
                     spec.accel_burst_prob], dtype=float)
     weights = mix / mix.sum() if mix.sum() > 0 else None
 
-    trips: list[Trip] = []
     trip_truth: list[tuple[int, int, Optional[str]]] = []
     kind_counts: Counter = Counter()
-    trip_counter = 0
-    for driver_id in driver_ids:
-        for trip_id in range(1, spec.trips_per_driver + 1):
-            origin, destination = _pick_endpoints(world, rng)
-            start_time = _EPOCH_BASE + trip_counter * _TRIP_TIME_SPACING_S
-            trip_counter += 1
-            planned = generate_normal_trip(world, driver_id, trip_id, origin, destination,
-                                           start_time, rng)
-            kind: Optional[str] = None
-            if driver_id in abnormal_set and weights is not None and rng.random() < spec.injection_rate:
-                kind = ANOMALY_KINDS[int(rng.choice(len(ANOMALY_KINDS), p=weights))]
-                if kind in ("loop", "detour") and len(planned.node_path) - 1 < 3:
-                    kind = "brake_burst" if spec.brake_burst_prob + spec.accel_burst_prob > 0 else None
-                if kind is not None:
-                    planned = inject_anomaly(world, planned, kind, rng)
-                    kind_counts[kind] += 1
-            trips.append(planned.to_trip())
-            trip_truth.append((driver_id, trip_id, kind))
+
+    def trips() -> Iterator[Trip]:
+        """Plan, alter and sample every trip in turn, recording its truth."""
+        trip_counter = 0
+        for driver_id in driver_ids:
+            for trip_id in range(1, spec.trips_per_driver + 1):
+                origin, destination = _pick_endpoints(world, rng)
+                start_time = _EPOCH_BASE + trip_counter * _TRIP_TIME_SPACING_S
+                trip_counter += 1
+                planned = generate_normal_trip(world, driver_id, trip_id, origin, destination,
+                                               start_time, rng)
+                kind: Optional[str] = None
+                if (driver_id in abnormal_set and weights is not None
+                        and rng.random() < spec.injection_rate):
+                    kind = ANOMALY_KINDS[int(rng.choice(len(ANOMALY_KINDS), p=weights))]
+                    if kind in ("loop", "detour") and len(planned.node_path) - 1 < 3:
+                        kind = ("brake_burst" if spec.brake_burst_prob + spec.accel_burst_prob > 0
+                                else None)
+                    if kind is not None:
+                        planned = inject_anomaly(world, planned, kind, rng)
+                        kind_counts[kind] += 1
+                trip_truth.append((driver_id, trip_id, kind))
+                yield planned.to_trip()
 
     nodes_path = out / "nodes.csv"
     segments_path = out / "segments.csv"
@@ -433,7 +437,8 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
     trip_truth_path = out / "truth_trips.csv"
 
     write_network(world.network, nodes_path, segments_path)
-    write_trips(trips, trips_path)
+    # each trip is written as it is generated, so none is held for the whole run
+    write_trips(trips(), trips_path)
     with open(truth_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_COLUMNS)
@@ -453,7 +458,7 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
         truth_path=truth_path,
         trip_truth_path=trip_truth_path,
         n_drivers=spec.n_drivers,
-        n_trips=len(trips),
+        n_trips=len(trip_truth),
         abnormal_drivers=abnormal,
         kind_counts=kind_counts,
     )

@@ -12,13 +12,14 @@ lists the row index of each traversal in time order.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .geo import circular_mean_deg, haversine_m, mean_resultant_length
-from .matching import EdgeKey, MatchedTrip
-from .model import TrajectoryPoint
+from .matching import MatchedTrip
 
 MATRIX_CSV_COLUMNS = [
     "segment_id", "direction", "avg_speed_mps", "avg_dir_deg",
@@ -53,31 +54,35 @@ class TripGraph:
 
 
 def detect_events(
-    points: Sequence[TrajectoryPoint], accel_threshold: float
-) -> list[TrajectoryPoint]:
-    """Derive hard-event flags from speed differences.
+    timestamp: np.ndarray, speed_mps: np.ndarray, accel_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derive hard-event flags from speed differences, as (hard_accel, hard_brake).
 
     Only for inputs whose file lacked event columns: the acceleration
     over each consecutive pair is (v2 - v1) / (t2 - t1); the later
     point is flagged hard_accel when it reaches +accel_threshold and
     hard_brake when it reaches -accel_threshold. The first point gets
-    zeros, and pairs with zero time delta are skipped.
+    zeros, and pairs with zero time delta are skipped. The time delta is
+    the exact integer difference, rounded once to float, as in Python.
     """
-    if len(points) < 2:
+    timestamp = np.asarray(timestamp, dtype=np.int64)
+    n = len(timestamp)
+    if n < 2:
         raise ValueError("need at least 2 points to derive events")
-    out = [replace(points[0], hard_accel=0, hard_brake=0)]
-    for prev, cur in zip(points, points[1:]):
-        dt = cur.timestamp - prev.timestamp
-        if dt == 0:
-            out.append(replace(cur, hard_accel=0, hard_brake=0))
-            continue
-        a = (cur.speed_mps - prev.speed_mps) / dt
-        out.append(replace(
-            cur,
-            hard_accel=1 if a >= accel_threshold else 0,
-            hard_brake=1 if a <= -accel_threshold else 0,
-        ))
-    return out
+    dt = np.diff(timestamp)
+    seconds = dt.astype(float)
+    # the int64 difference wraps around where the true one leaves the int64 range
+    wrapped = np.flatnonzero((dt < 0) != (timestamp[1:] < timestamp[:-1]))
+    for i in wrapped.tolist():
+        seconds[i] = float(int(timestamp[i + 1]) - int(timestamp[i]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accel = np.diff(np.asarray(speed_mps, dtype=float)) / seconds
+    moving = dt != 0
+    hard_accel = np.zeros(n, np.int64)
+    hard_brake = np.zeros(n, np.int64)
+    hard_accel[1:] = moving & (accel >= accel_threshold)
+    hard_brake[1:] = moving & (accel <= -accel_threshold)
+    return hard_accel, hard_brake
 
 
 def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
@@ -86,16 +91,24 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
     Rows appear in order of first traversal. Trip length sums the full
     segment length once per traversal; net displacement is the
     great-circle distance between the first and last snapped points.
+    The matched points are walked one by one over plain lists of their
+    columns: on trips of a few dozen points that costs less than the
+    fixed cost of the numpy calls a vectorised form needs.
     """
-    if not matched.points:
-        raise ValueError(f"trip ({matched.driver_id},{matched.trip_id}) has no matched points")
+    trip, kept = matched.trip, matched.kept
+    if not len(kept):
+        raise ValueError(f"trip ({trip.driver_id},{trip.trip_id}) has no matched points")
 
-    index: dict[EdgeKey, int] = {}
+    point_cogs = trip.cog_deg[kept].tolist()
+    index: dict[tuple[int, int], int] = {}
     rows: list[EdgeAttributeRow] = []
     speed_sums: list[float] = []
     cogs: list[list[float]] = []
     sequence: list[int] = []
-    for p, key in zip(matched.points, matched.edges):
+    for key, speed, cog, brake, accel in zip(
+            zip(matched.segment_id.tolist(), matched.direction.tolist()),
+            trip.speed_mps[kept].tolist(), point_cogs,
+            trip.hard_brake[kept].tolist(), trip.hard_accel[kept].tolist()):
         i = index.get(key)
         if i is None:
             i = index[key] = len(rows)
@@ -113,10 +126,10 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
             speed_sums.append(0.0)
             cogs.append([])
         row = rows[i]
-        speed_sums[i] += p.speed_mps
-        cogs[i].append(p.cog_deg)
-        row.n_hard_brakes += p.hard_brake
-        row.n_hard_accels += p.hard_accel
+        speed_sums[i] += speed
+        cogs[i].append(cog)
+        row.n_hard_brakes += brake
+        row.n_hard_accels += accel
         row.n_points += 1
         if not sequence or sequence[-1] != i:
             row.n_traversals += 1
@@ -133,13 +146,13 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
     first = matched.first_snap
     last = matched.last_snap
     return TripGraph(
-        driver_id=matched.driver_id,
-        trip_id=matched.trip_id,
+        driver_id=trip.driver_id,
+        trip_id=trip.trip_id,
         rows=rows,
         trip_length_m=trip_length,
         net_displacement_m=haversine_m(first.lat, first.lon, last.lat, last.lon),
         traversal_sequence=sequence,
-        cog_resultant=mean_resultant_length(p.cog_deg for p in matched.points),
+        cog_resultant=mean_resultant_length(point_cogs),
     )
 
 

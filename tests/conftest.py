@@ -15,6 +15,19 @@ def small_dataset(tmp_path_factory):
     return generate_dataset(SMALL_SPEC, out)
 
 
+@pytest.fixture(scope="session")
+def no_event_dataset(small_dataset, tmp_path_factory):
+    """The small dataset's trips without the event columns, so the pipeline
+    derives hard events, and with one row's speed made non-numeric.
+    Returns (nodes path, segments path, trips path)."""
+    lines = small_dataset.trips_path.read_text().splitlines()
+    rows = [line.split(",")[:8] for line in lines]
+    rows[1][6] = "fast"
+    path = tmp_path_factory.mktemp("no_events") / "trips.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return small_dataset.nodes_path, small_dataset.segments_path, path
+
+
 # one visible line per acceptance criterion, printed after the run
 _acceptance_results: list[tuple[str, str]] = []
 

@@ -142,6 +142,21 @@ def test_config_file_errors(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("flag,field", [
+    ("--max-snap", "max_snap_distance_m"),
+    ("--alpha", "alpha"),
+    ("--accel-threshold", "hard_event_accel_threshold"),
+])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_analysis_values_are_usage_errors(tmp_path, caplog, flag, field, value):
+    with pytest.raises(ValueError, match=field):
+        AnalysisConfig(**{field: float(value)})
+    code = main(["pipeline", "--network", str(tmp_path), "--trips", str(tmp_path / "t.csv"),
+                 "--out", str(tmp_path / "out"), f"{flag}={value}"])
+    assert code == 2
+    assert field in caplog.text
+
+
 def test_match_subcommand(tmp_path):
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0

@@ -3,18 +3,24 @@
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripsift import ingest
 from tripsift.ingest import (
+    EVENT_COLUMNS,
+    TRAJECTORY_COLUMNS,
+    IngestReport,
     parse_road_network,
     parse_trips,
     write_network,
     write_trips,
 )
-from tripsift.model import TrajectoryPoint, Trip
+from tripsift.model import FLOAT_COLUMNS, TRIP_COLUMNS, TrajectoryPoint, Trip
 
 
 def write(path, text):
@@ -120,7 +126,7 @@ def test_parse_trips_groups_and_sorts(tmp_path):
     ))
     trips, report = parse_trips(path)
     assert [(t.driver_id, t.trip_id) for t in trips] == [(1, 1), (2, 1)]
-    assert [p.timestamp for p in trips[1].points] == [200, 201]
+    assert trips[1].timestamp.tolist() == [200, 201]
     assert report.n_points_read == 4
     assert report.n_points_rejected == 0
     assert report.n_trips == 2
@@ -134,8 +140,8 @@ def test_parse_trips_event_columns(tmp_path):
                  + "1,1,1,101,40.0,-85.999,10.0,90.0,1,0\n")
     trips, report = parse_trips(path)
     assert report.has_event_columns
-    assert trips[0].points[0].hard_brake == 1
-    assert trips[0].points[1].hard_accel == 1
+    assert trips[0].hard_brake.tolist() == [1, 0]
+    assert trips[0].hard_accel.tolist() == [0, 1]
 
 
 def test_parse_trips_one_sided_event_column_rejected(tmp_path):
@@ -155,6 +161,10 @@ def test_parse_trips_one_sided_event_column_rejected(tmp_path):
     ("1,1,0,100,40.0,-86.0,10.0,360.0", "direction_out_of_range"),
     ("1,1,0,100,40.0,-86.0,10.0,-0.5", "direction_out_of_range"),
     ("1,1,0,100,40.0,-86.0,nan,90.0", "speed_out_of_range"),
+    # integer fields must fit int64
+    ("1,1,0,9223372036854775808,40.0,-86.0,10.0,90.0", "non_numeric"),
+    ("12345678901234567890,1,0,100,40.0,-86.0,10.0,90.0", "non_numeric"),
+    ("1,1,-9223372036854775809,100,40.0,-86.0,10.0,90.0", "non_numeric"),
 ])
 def test_parse_trips_rejection_reasons(tmp_path, row, reason):
     path = write(tmp_path / "t.csv", trip_rows(
@@ -165,7 +175,7 @@ def test_parse_trips_rejection_reasons(tmp_path, row, reason):
     trips, report = parse_trips(path)
     assert report.rejection_reasons == {reason: 1}
     assert report.n_points_rejected == 1
-    assert len(trips) == 1 and len(trips[0].points) == 2
+    assert len(trips) == 1 and len(trips[0]) == 2
 
 
 def test_parse_trips_negative_event_count(tmp_path):
@@ -186,7 +196,7 @@ def test_parse_trips_duplicate_timestamp_keeps_first(tmp_path):
     ))
     trips, report = parse_trips(path)
     assert report.rejection_reasons == {"duplicate_timestamp": 1}
-    assert trips[0].points[0].lat == 40.0
+    assert trips[0].lat.tolist() == [40.0, 40.0]
 
 
 def test_parse_trips_short_trip_dropped(tmp_path):
@@ -213,10 +223,12 @@ def test_write_trips_roundtrip(tmp_path):
         TrajectoryPoint(3, 7, 1, 1001, 40.123457, -86.0000002, 12.25, 0.0, 1, 0),
     ]
     path = tmp_path / "out.csv"
-    write_trips([Trip(3, 7, pts)], path)
+    write_trips([Trip.from_points(3, 7, pts)], path)
     trips, report = parse_trips(path)
     assert report.has_event_columns
-    assert trips[0].points == pts
+    assert (trips[0].driver_id, trips[0].trip_id) == (3, 7)
+    for name in TRIP_COLUMNS:
+        assert getattr(trips[0], name).tolist() == [getattr(p, name) for p in pts]
 
 
 def test_write_network_roundtrip(tmp_path, network_paths):
@@ -235,14 +247,23 @@ REASON_CODES = {
     "duplicate_timestamp", "trip_too_short",
 }
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
 GARBAGE_FIELD = st.one_of(
     st.text(st.characters(max_codepoint=127), max_size=8),
     st.sampled_from(["", "nan", "inf", "-inf", "-1", "1e400", "360", "-0.5", "95", "-186", "1.5"]),
+    # what int and float accept beyond plain digits, and ids past int64
+    st.sampled_from(["1_000", " 12", "12 ", "0012", "+3", " 40.5 ", "1e1", "1_0.5",
+                     "12345678901234567890", str(INT64_MAX), str(INT64_MIN),
+                     str(INT64_MAX + 1), str(INT64_MIN - 1)]),
+    # fields the writer has to quote
+    st.sampled_from(['"', '1,2', '"7"', "a\nb", "3\n"]),
 )
 
 
 def valid_rows(with_events):
-    fields = [st.integers(1, 3), st.integers(1, 2), st.integers(0, 50), st.integers(0, 20),
+    stamps = st.integers(0, 20) | st.sampled_from([INT64_MIN, INT64_MAX])
+    fields = [st.integers(1, 3), st.integers(1, 2), st.integers(0, 50), stamps,
               st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.floats(0.0, 60.0),
               st.floats(0.0, 360.0, exclude_max=True)]
     if with_events:
@@ -281,10 +302,129 @@ def test_parse_trips_random_rows_never_raise(case):
             writer.writerow(header)
             writer.writerows(rows)
         trips, report = parse_trips(path)
-    accepted = sum(len(t.points) for t in trips)
+    accepted = sum(len(t) for t in trips)
     assert report.n_points_read == len(rows)
     assert report.n_points_read == accepted + report.n_points_rejected
     assert report.n_points_accepted == accepted
     assert sum(report.rejection_reasons.values()) == report.n_points_rejected
     assert set(report.rejection_reasons) <= REASON_CODES
     assert report.n_trips == len(trips)
+
+
+def reference_parse_trips(path):
+    """The row-at-a-time reader that parse_trips replaced, kept as its
+    reference, with one rule added: integer fields outside int64 are
+    non_numeric. Returns ([(driver_id, trip_id, {column: values})], report)."""
+    def int64(text):
+        value = int(text)
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise ValueError(text)
+        return value
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        has_events = all(c in header for c in EVENT_COLUMNS)
+        col = {name: header.index(name)
+               for name in TRAJECTORY_COLUMNS + (EVENT_COLUMNS if has_events else [])}
+        report = IngestReport(has_event_columns=has_events)
+        groups, seen_ts = {}, {}
+
+        def reject(reason):
+            report.n_points_rejected += 1
+            report.rejection_reasons[reason] += 1
+
+        for row in reader:
+            if not row:
+                continue
+            report.n_points_read += 1
+            if len(row) < len(header):
+                reject("bad_field_count")
+                continue
+            try:
+                driver_id = int64(row[col["driver_id"]])
+                trip_id = int64(row[col["trip_id"]])
+                point_id = int64(row[col["point_id"]])
+                timestamp = int64(row[col["timestamp"]])
+                lat = float(row[col["lat"]])
+                lon = float(row[col["lon"]])
+                speed = float(row[col["speed_mps"]])
+                cog = float(row[col["cog_deg"]])
+                hard_accel = int64(row[col["hard_accel"]]) if has_events else 0
+                hard_brake = int64(row[col["hard_brake"]]) if has_events else 0
+            except ValueError:
+                reject("non_numeric")
+                continue
+            if not (np.isfinite(lat) and -90.0 <= lat <= 90.0):
+                reject("lat_out_of_range")
+                continue
+            if not (np.isfinite(lon) and -180.0 <= lon <= 180.0):
+                reject("lon_out_of_range")
+                continue
+            if not np.isfinite(speed) or speed < 0.0:
+                reject("speed_out_of_range")
+                continue
+            if not np.isfinite(cog) or not 0.0 <= cog < 360.0:
+                reject("direction_out_of_range")
+                continue
+            if hard_accel < 0 or hard_brake < 0:
+                reject("negative_event_count")
+                continue
+            key = (driver_id, trip_id)
+            stamps = seen_ts.setdefault(key, set())
+            if timestamp in stamps:
+                reject("duplicate_timestamp")
+                continue
+            stamps.add(timestamp)
+            groups.setdefault(key, []).append(
+                (point_id, timestamp, lat, lon, speed, cog, hard_accel, hard_brake))
+
+    trips = []
+    for key in sorted(groups):
+        points = sorted(groups[key], key=lambda p: p[1])
+        if len(points) < 2:
+            report.n_points_rejected += len(points)
+            report.rejection_reasons["trip_too_short"] += len(points)
+            continue
+        trips.append((*key, {name: [p[i] for p in points] for i, name in enumerate(TRIP_COLUMNS)}))
+    report.n_trips = len(trips)
+    return trips, report
+
+
+@st.composite
+def oracle_files(draw):
+    """trip_files plus blank lines, rows with extra trailing fields, quoting
+    of every field, and a block size small enough that rows span blocks."""
+    with_events = draw(st.booleans())
+    valid = valid_rows(with_events)
+    extended = st.tuples(valid, st.lists(GARBAGE_FIELD, min_size=1, max_size=3)).map(
+        lambda t: t[0] + t[1])
+    rows = draw(st.lists(st.one_of(valid, malformed_rows(valid), extended, st.just([])),
+                         max_size=60))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    return with_events, rows, quoting, draw(st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_files())
+def test_parse_trips_equals_row_by_row_reference(case):
+    with_events, rows, quoting, block_rows = case
+    header = TRIP_HEADER.strip().split(",") + (["hard_accel", "hard_brake"] if with_events else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=quoting)
+            writer.writerow(header)
+            writer.writerows(rows)
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            trips, report = parse_trips(path)
+        want_trips, want_report = reference_parse_trips(path)
+    assert report == want_report
+    # summary.json lists the reasons in order of first occurrence
+    assert list(report.rejection_reasons) == list(want_report.rejection_reasons)
+    assert [(t.driver_id, t.trip_id) for t in trips] == [(d, t) for d, t, _ in want_trips]
+    for trip, (_, _, columns) in zip(trips, want_trips):
+        for name in TRIP_COLUMNS:
+            values = getattr(trip, name)
+            assert values.dtype == (np.float64 if name in FLOAT_COLUMNS else np.int64)
+            assert values.tolist() == columns[name]

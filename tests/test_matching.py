@@ -258,7 +258,7 @@ def line_trip(latlons, cogs, driver=1, trip=1):
         TrajectoryPoint(driver, trip, i, 100 + i, lat, lon, 10.0, cog)
         for i, ((lat, lon), cog) in enumerate(zip(latlons, cogs))
     ]
-    return Trip(driver, trip, points)
+    return Trip.from_points(driver, trip, points)
 
 
 @pytest.fixture
@@ -277,10 +277,10 @@ def test_match_trip_directions(line_network):
     )
     matched = match_trip(trip, line_network, config)
     assert matched.matched_fraction == 1.0
-    assert [direction for _, direction in matched.edges] == [1, 1, -1]
-    assert all(segment_id == 10 for segment_id, _ in matched.edges)
-    snaps = [nearest_segment(p.lat, p.lon, line_network, config.max_snap_distance_m)
-             for p in matched.points]
+    assert matched.direction.tolist() == [1, 1, -1]
+    assert all(segment_id == 10 for segment_id in matched.segment_id.tolist())
+    snaps = [nearest_segment(trip.lat[i], trip.lon[i], line_network, config.max_snap_distance_m)
+             for i in matched.kept.tolist()]
     assert all(s is not None and s.distance_m <= config.max_snap_distance_m for s in snaps)
 
 
@@ -291,7 +291,7 @@ def test_match_trip_drops_far_points(line_network):
         [90.0, 90.0, 90.0],
     )
     matched = match_trip(trip, line_network, config)
-    assert len(matched.points) == 2
+    assert matched.kept.tolist() == [0, 2]
     assert matched.matched_fraction == pytest.approx(2 / 3)
 
 
@@ -318,19 +318,20 @@ def test_match_trip_empty_match_rejected(line_network):
 
 def reference_match(trip, network, config):
     """Per-point reference: brute-force nearest segment, then the direction
-    rule on circular_diff_deg; returns (points, edges, snaps)."""
-    points, edges, snaps = [], [], []
-    for p in trip.points:
-        best = brute_force_nearest(p.lat, p.lon, network, config.max_snap_distance_m)
+    rule on circular_diff_deg; returns (kept point indices, edges, snaps)."""
+    kept, edges, snaps = [], [], []
+    columns = zip(trip.lat.tolist(), trip.lon.tolist(), trip.cog_deg.tolist())
+    for i, (lat, lon, cog) in enumerate(columns):
+        best = brute_force_nearest(lat, lon, network, config.max_snap_distance_m)
         if best is None:
             continue
         a, b = network.segment_endpoints(best[1])
-        _, plat, plon = point_segment_distance(p.lat, p.lon, a, b)
+        _, plat, plon = point_segment_distance(lat, lon, a, b)
         bearing = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)  # ValueError if a == b
-        points.append(p)
-        edges.append((best[1], 1 if circular_diff_deg(p.cog_deg, bearing) <= 90.0 else -1))
+        kept.append(i)
+        edges.append((best[1], 1 if circular_diff_deg(cog, bearing) <= 90.0 else -1))
         snaps.append(SnapResult(best[1], best[0], plat, plon))
-    return points, edges, snaps
+    return kept, edges, snaps
 
 
 @st.composite
@@ -353,7 +354,7 @@ def trip_cases(draw):
               for i, (lat, lon) in enumerate(spots)]
     config = AnalysisConfig(max_snap_distance_m=draw(st.sampled_from([5.0, 50.0, 500.0])),
                             min_matched_fraction=draw(st.floats(0.01, 1.0)))
-    return network, Trip(1, 1, points), config
+    return network, Trip.from_points(1, 1, points), config
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,21 +362,22 @@ def trip_cases(draw):
 def test_random_match_trip_equals_per_point_reference(case):
     network, trip, config = case
     try:
-        points, edges, snaps = reference_match(trip, network, config)
+        kept, edges, snaps = reference_match(trip, network, config)
     except ValueError:
         with pytest.raises(ValueError):
             match_trip(trip, network, config)
         return
-    fraction = len(points) / len(trip.points)
-    if not points or fraction < config.min_matched_fraction:
+    fraction = len(kept) / len(trip)
+    if not kept or fraction < config.min_matched_fraction:
         with pytest.raises(MatchRejected) as info:
             match_trip(trip, network, config)
-        assert info.value.reason == ("poor_match" if points else "empty_match")
-        assert (info.value.n_matched, info.value.matched_fraction) == (len(points), fraction)
+        assert info.value.reason == ("poor_match" if kept else "empty_match")
+        assert (info.value.n_matched, info.value.matched_fraction) == (len(kept), fraction)
         return
     matched = match_trip(trip, network, config)
-    assert matched.points == points
-    assert matched.edges == edges
+    assert matched.trip is trip
+    assert matched.kept.tolist() == kept
+    assert list(zip(matched.segment_id.tolist(), matched.direction.tolist())) == edges
     assert matched.first_snap == snaps[0]
     assert matched.last_snap == snaps[-1]
     assert matched.matched_fraction == fraction

@@ -8,7 +8,7 @@ import pytest
 from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
-from tripsift.model import AnalysisConfig
+from tripsift.model import AnalysisConfig, TrajectoryPoint
 from tripsift.pipeline import EmptyPipelineError, run_pipeline
 from tripsift.tripgraph import build_trip_graph
 
@@ -31,7 +31,7 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     network = parse_road_network(small_dataset.nodes_path, small_dataset.segments_path)
     trips, _ = parse_trips(small_dataset.trips_path)
     assert result.counts["points_matched"] == sum(
-        len(match_trip(trip, network, CONFIG).points) for trip in trips)
+        len(match_trip(trip, network, CONFIG).kept) for trip in trips)
 
     for name in ("features", "trip_scores", "driver_report", "summary", "model"):
         assert result.outputs[name].exists()
@@ -49,6 +49,10 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     assert set(stages) == {"ingest", "events", "match", "graphs", "features", "score", "write"}
     assert all(stages[k] == result.stage_seconds[k] for k in stages if k != "write")
     assert stages["write"] <= result.stage_seconds["write"]
+    # the process's high-water mark after each stage, so it never falls
+    peaks = summary["stage_peak_rss_mb"]
+    assert list(peaks) == list(stages)
+    assert all(0.0 < a <= b for a, b in zip(list(peaks.values()), list(peaks.values())[1:]))
 
     # contamination diagnostic matches an independent recomputation
     scores = [t["score"] for t in summary["trips"]]
@@ -149,3 +153,23 @@ def test_events_derived_when_columns_missing(small_dataset, tmp_path):
     assert result.counts["trips_scored"] == small_dataset.n_trips
     # speed steps planted by the generator are recovered as hard events
     assert any(v.brakes_per_km > 0 or v.accels_per_km > 0 for v in result.table.vectors)
+
+
+def test_pipeline_builds_no_trajectory_point(small_dataset, no_event_dataset, tmp_path,
+                                             monkeypatch):
+    """Trips stay columnar from the CSV to the trip graphs."""
+    built = []
+    init = TrajectoryPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryPoint, "__init__", counting_init)
+    TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0)   # the counter sees a build
+    assert built == [1]
+    built.clear()
+    run(small_dataset, tmp_path / "events")
+    result = run_pipeline(*no_event_dataset, tmp_path / "derived", CONFIG)
+    assert result.counts["points_rejected"] == 1
+    assert built == []

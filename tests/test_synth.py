@@ -98,8 +98,9 @@ def test_samples_lie_on_network():
     config = AnalysisConfig(alpha=0.0)
     matched = match_trip(trip, world.network, config)
     assert matched.matched_fraction == 1.0
-    assert max(nearest_segment(p.lat, p.lon, world.network, config.max_snap_distance_m).distance_m
-               for p in matched.points) < 1.0
+    assert max(nearest_segment(trip.lat[i], trip.lon[i], world.network,
+                               config.max_snap_distance_m).distance_m
+               for i in matched.kept.tolist()) < 1.0
 
 
 def grid_edges(world, path):

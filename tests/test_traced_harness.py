@@ -24,13 +24,14 @@ def load_traced():
     return module
 
 
-def test_traced_pipeline_reports_every_layer_metric(small_dataset, tmp_path):
+def traced_run(tmp_path, nodes, segments, trips):
+    """Run the traced pipeline; return (spans, summary, metrics), checking
+    that every declared per-layer metric is reported."""
     spans_path, out = tmp_path / "spans.json", tmp_path / "run"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, str(TRACED), str(spans_path), "pipeline",
-            "--nodes", str(small_dataset.nodes_path),
-            "--segments", str(small_dataset.segments_path),
-            "--trips", str(small_dataset.trips_path), "--out", str(out)]
+            "--nodes", str(nodes), "--segments", str(segments),
+            "--trips", str(trips), "--out", str(out)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -43,3 +44,15 @@ def test_traced_pipeline_reports_every_layer_metric(small_dataset, tmp_path):
     assert set(metrics) == {m["name"] for m in declared}
     # the matcher snaps each trip's points in one nearest_segment call
     assert metrics["matching.queries"] == summary["counts"]["trips_parsed"]
+    return spans, summary, metrics
+
+
+def test_traced_pipeline_reports_every_layer_metric(small_dataset, tmp_path):
+    traced_run(tmp_path, small_dataset.nodes_path, small_dataset.segments_path,
+               small_dataset.trips_path)
+
+
+def test_traced_pipeline_with_derived_events_and_a_rejected_row(no_event_dataset, tmp_path):
+    spans, _, metrics = traced_run(tmp_path, *no_event_dataset)
+    assert spans["records"]["tripsift.pipeline.detect_events"]["calls"] > 0
+    assert metrics["ingest.rows_rejected"] == 1

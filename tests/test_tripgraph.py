@@ -2,8 +2,8 @@
 
 import csv
 import math
-from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tripsift.features import extract_features
 from tripsift.geo import haversine_m
 from tripsift.matching import MatchedTrip, SnapResult
-from tripsift.model import RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint
+from tripsift.model import RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint, Trip
 from tripsift.tripgraph import (
     MATRIX_CSV_COLUMNS,
     build_trip_graph,
@@ -44,12 +44,26 @@ def mp(seg, direction, ts, speed=10.0, cog=90.0, brake=0, accel=0, lat=40.0, lon
     return p, (seg, direction)
 
 
+def matched_points(points, edges, first, last, trip_id=1):
+    """A fully matched trip of these points, each on its (segment, direction) edge."""
+    return MatchedTrip(Trip.from_points(1, trip_id, points), np.arange(len(points)),
+                       np.array([seg for seg, _ in edges]),
+                       np.array([direction for _, direction in edges]), first, last, 1.0)
+
+
 def matched_trip(mps, trip_id=1):
     """A fully matched trip whose first and last points snapped where they lie."""
     (first, first_key), (last, last_key) = mps[0], mps[-1]
-    return MatchedTrip(1, trip_id, [p for p, _ in mps], [key for _, key in mps],
-                       SnapResult(first_key[0], 1.0, first.lat, first.lon),
-                       SnapResult(last_key[0], 1.0, last.lat, last.lon), 1.0)
+    return matched_points([p for p, _ in mps], [key for _, key in mps],
+                          SnapResult(first_key[0], 1.0, first.lat, first.lon),
+                          SnapResult(last_key[0], 1.0, last.lat, last.lon), trip_id)
+
+
+def derive(points, accel_threshold):
+    """detect_events on the columns of these points, as (hard_accel, hard_brake) pairs."""
+    accel, brake = detect_events([p.timestamp for p in points], [p.speed_mps for p in points],
+                                 accel_threshold)
+    return list(zip(accel.tolist(), brake.tolist()))
 
 
 def test_point_sequence_events():
@@ -60,8 +74,7 @@ def test_point_sequence_events():
         TrajectoryPoint(1, 1, 3, 4, 40.0, -86.0, 16.0, 90.0),   # +3 over 2 s
         TrajectoryPoint(1, 1, 4, 5, 40.0, -86.0, 13.5, 90.0),   # -2.5
     ]
-    out = detect_events(pts, accel_threshold=3.0)
-    assert [(p.hard_accel, p.hard_brake) for p in out] == [
+    assert derive(pts, accel_threshold=3.0) == [
         (0, 0), (1, 0), (0, 1), (1, 0), (0, 0)]
 
 
@@ -70,8 +83,7 @@ def test_detect_events_zero_dt_skipped():
         TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0),
         TrajectoryPoint(1, 1, 1, 0, 40.0, -86.0, 50.0, 90.0),
     ]
-    out = detect_events(pts, accel_threshold=3.0)
-    assert (out[1].hard_accel, out[1].hard_brake) == (0, 0)
+    assert derive(pts, accel_threshold=3.0)[1] == (0, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,19 +98,25 @@ def test_detect_events_follow_threshold_rule(steps, threshold_quarters):
     for i, (dt, speed_quarters) in enumerate(steps, 1):
         points.append(TrajectoryPoint(1, 1, i, points[-1].timestamp + dt, 40.0, -86.0,
                                       speed_quarters / 4, 90.0, 1, 1))
-    out = detect_events(points, accel_threshold=threshold)
-    assert (out[0].hard_accel, out[0].hard_brake) == (0, 0)
-    for prev, cur, got in zip(points, points[1:], out[1:]):
+    out = derive(points, accel_threshold=threshold)
+    assert len(out) == len(points)
+    assert out[0] == (0, 0)
+    for prev, cur, (hard_accel, hard_brake) in zip(points, points[1:], out[1:]):
         dv = cur.speed_mps - prev.speed_mps
         dt = cur.timestamp - prev.timestamp
-        assert got.hard_accel == int(dt > 0 and dv >= threshold * dt)
-        assert got.hard_brake == int(dt > 0 and dv <= -threshold * dt)
-        assert replace(got, hard_accel=1, hard_brake=1) == cur
+        assert hard_accel == int(dt > 0 and dv >= threshold * dt)
+        assert hard_brake == int(dt > 0 and dv <= -threshold * dt)
+
+
+def test_detect_events_exact_past_int64_range():
+    # the stamps differ by 2**64 - 1, which wraps to -1 in int64 arithmetic
+    hard_accel, hard_brake = detect_events([-2 ** 63, 2 ** 63 - 1], [0.0, 1e300], 3.0)
+    assert (hard_accel.tolist(), hard_brake.tolist()) == ([0, 1], [0, 0])
 
 
 def test_detect_events_requires_two_points():
     with pytest.raises(ValueError):
-        detect_events([TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0)], 3.0)
+        detect_events([0], [10.0], 3.0)
 
 
 def test_build_graph_rows_in_first_traversal_order(two_segment_network):
@@ -155,9 +173,9 @@ def test_net_displacement_uses_snapped_positions(two_segment_network):
     # the fixes lie off the road; only the snapped ends count
     points = [mp(10, 1, 0, lat=40.0001, lon=-86.0), mp(10, 1, 1, lat=40.0001, lon=-85.995),
               mp(11, 1, 2, lat=40.0002, lon=-85.985)]
-    matched = MatchedTrip(1, 1, [p for p, _ in points], [key for _, key in points],
-                          SnapResult(10, 11.1, 40.0, -86.0), SnapResult(11, 22.2, 40.0, -85.985),
-                          1.0)
+    matched = matched_points([p for p, _ in points], [key for _, key in points],
+                             SnapResult(10, 11.1, 40.0, -86.0),
+                             SnapResult(11, 22.2, 40.0, -85.985))
     graph = build_trip_graph(matched, two_segment_network)
     assert graph.net_displacement_m == pytest.approx(
         haversine_m(40.0, -86.0, 40.0, -85.985), abs=1e-9)
@@ -176,7 +194,9 @@ def test_cog_resultant_range(two_segment_network):
 
 def test_build_graph_empty_raises(two_segment_network):
     with pytest.raises(ValueError, match="no matched points"):
-        build_trip_graph(MatchedTrip(1, 1, [], [], None, None, 0.0), two_segment_network)
+        trip = matched_trip([mp(10, 1, 0), mp(10, 1, 1)]).trip
+        build_trip_graph(MatchedTrip(trip, np.arange(0), np.arange(0), np.arange(0),
+                                     None, None, 0.0), two_segment_network)
 
 
 def test_filter_by_min_length_strict(two_segment_network):
@@ -238,7 +258,11 @@ def square_trips(draw):
             edges.append((seg, direction))
     first = snap_on(edges[0][0], draw(st.floats(0.0, 1.0)))
     last = snap_on(edges[-1][0], draw(st.floats(0.0, 1.0)))
-    return MatchedTrip(1, 1, points, edges, first, last, 1.0)
+    # one more fix that did not snap, so that a trip can have a single matched point
+    unmatched = TrajectoryPoint(1, 1, len(points), 100 + len(points), 41.0, -86.0, 10.0, 0.0)
+    return MatchedTrip(Trip.from_points(1, 1, points + [unmatched]), np.arange(len(points)),
+                       np.array([seg for seg, _ in edges]),
+                       np.array([direction for _, direction in edges]), first, last, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:degenerate mean")
@@ -248,11 +272,12 @@ def test_random_trip_graph_invariants(matched):
     graph = build_trip_graph(matched, SQUARE)
     rows, seq = graph.rows, graph.traversal_sequence
     keys = [(r.segment_id, r.direction) for r in rows]
-    assert keys == list(dict.fromkeys(matched.edges))
-    assert sum(r.n_points for r in rows) == len(matched.points)
+    edges = list(zip(matched.segment_id.tolist(), matched.direction.tolist()))
+    assert keys == list(dict.fromkeys(edges))
+    assert sum(r.n_points for r in rows) == len(matched.kept)
     assert sum(r.n_traversals for r in rows) == len(seq)
     assert all(a != b for a, b in zip(seq, seq[1:]))
-    runs = [key for i, key in enumerate(matched.edges) if i == 0 or key != matched.edges[i - 1]]
+    runs = [key for i, key in enumerate(edges) if i == 0 or key != edges[i - 1]]
     assert [keys[i] for i in seq] == runs
     assert graph.trip_length_m == pytest.approx(
         sum(SQUARE.segments[rows[i].segment_id].length_m for i in seq), rel=1e-12)
