@@ -16,7 +16,8 @@ Trees are arrays of nodes: internal nodes are [dim, split, left, right]
 (indices into the array), external nodes are [-1, size, depth]. These
 node lists are the model's only stored form and the model.json format.
 Tree i draws from its own generator seeded with rng_seed XOR i, so
-results do not depend on build order.
+results do not depend on build order, nor on how many processes grow
+the trees.
 
 Scoring walks all rows through one tree at a time: each call turns a
 tree's node list into parallel arrays and moves every row down one level
@@ -33,6 +34,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .forked import process_count, run_parts
 
 EULER_GAMMA = 0.5772156649
 
@@ -100,17 +103,32 @@ def _build_tree(data: np.ndarray, rng: np.random.Generator, max_depth: int) -> l
     return nodes
 
 
+def _grow_trees(X: np.ndarray, first: int, stop: int, psi: int, rng_seed: int,
+                max_depth: int) -> list[list[list[float]]]:
+    """Trees first..stop-1 of a forest, tree i drawn from PCG64(rng_seed ^ i)."""
+    trees = []
+    for i in range(first, stop):
+        rng = np.random.Generator(np.random.PCG64(rng_seed ^ i))
+        sample = rng.choice(X.shape[0], size=psi, replace=False)
+        trees.append(_build_tree(X[sample], rng, max_depth))
+    return trees
+
+
 def fit(
     X: np.ndarray,
     n_trees: int = 100,
     subsample_size: int = 256,
     rng_seed: int = 0,
+    workers: int = 1,
 ) -> IForestModel:
     """Fit a forest on an (N, d) matrix of feature vectors.
 
     The subsample size is clamped to N; each tree gets an independent
     uniform subsample without replacement and a depth cap of
-    ceil(log2(psi)).
+    ceil(log2(psi)). With workers above 1 the trees are grown in up to
+    that many runs of consecutive trees (no more than the usable CPUs),
+    the first here and the others in forked processes; the model is the
+    same for any workers.
 
     Raises:
         ValueError: fewer than 2 vectors, non-finite values, bad params.
@@ -136,11 +154,11 @@ def fit(
 
     psi = min(subsample_size, n)
     max_depth = math.ceil(math.log2(psi))
-    trees = []
-    for i in range(n_trees):
-        rng = np.random.Generator(np.random.PCG64(rng_seed ^ i))
-        sample = rng.choice(n, size=psi, replace=False)
-        trees.append(_build_tree(X[sample], rng, max_depth))
+    n_parts = min(process_count(workers), n_trees)
+    bounds = [k * n_trees // n_parts for k in range(n_parts + 1)]
+    parts = run_parts(_grow_trees, [(X, first, stop, psi, rng_seed, max_depth)
+                                    for first, stop in zip(bounds, bounds[1:])])
+    trees = [tree for part in parts for tree in part]
     return IForestModel(
         n_trees=n_trees,
         subsample_size=subsample_size,

@@ -10,18 +10,22 @@ and the accepted points become columnar trips.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import os
+import stat
 from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .forked import process_count, run_parts
 from .geo import haversine_m
 from .model import FLOAT_COLUMNS, TRIP_COLUMNS, RoadNetwork, RoadNode, RoadSegment, Trip
 
@@ -51,18 +55,23 @@ class IngestReport:
         return self.n_points_read - self.n_points_rejected
 
 
+def _header(path: str | Path, reader: Iterator[list[str]], required: Sequence[str]) -> list[str]:
+    """The reader's first record, checked to name every required column."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected header {','.join(required)}")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValueError(f"{path}: header missing columns {missing}")
+    return header
+
+
 @contextmanager
 def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[list[str], Iterable]]:
     """Open a headered CSV, check its header, and yield (header, row reader); closes on exit."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected header {','.join(required)}")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(f"{path}: header missing columns {missing}")
-        yield header, reader
+        yield _header(path, reader, required), reader
 
 
 def parse_road_network(nodes_path: str | Path, segments_path: str | Path) -> RoadNetwork:
@@ -157,6 +166,7 @@ REASONS = (None, "bad_field_count", "non_numeric", "lat_out_of_range", "lon_out_
            "duplicate_timestamp")
 _CODE = {reason: code for code, reason in enumerate(REASONS) if reason}
 BLOCK_ROWS = 4096           # rows read and converted at a time
+_SCAN_BYTES = 1 << 20      # bytes read at a time while looking for cuts
 
 
 def _convert(texts: Sequence[str], kind: type, bad: np.ndarray) -> np.ndarray:
@@ -202,11 +212,12 @@ def _check_rows(rows: list[list[str]], fields: list[tuple[str, int, type]]
 
 
 def _read_columns(reader: Iterable[list[str]], fields: list[tuple[str, int, type]], width: int
-                  ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, list[int]]:
-    """Read every row, BLOCK_ROWS at a time. Returns the reason code of each
-    row read (blank lines are not rows), the columns of the rows that passed
-    the per-row checks with the index of each among the rows read, and, per
-    blank line, the number of rows read before it."""
+                  ) -> tuple[list[np.ndarray], dict[str, list[np.ndarray]], list[np.ndarray], list[int]]:
+    """Read every row, BLOCK_ROWS at a time. Returns, per block, the reason
+    code of each row read (blank lines are not rows), the columns of the
+    rows that passed the per-row checks and the index of each of those
+    among the rows read; and, per blank line, the number of rows read
+    before it."""
     codes: list[np.ndarray] = []
     parts: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in fields}
     kept_rows: list[np.ndarray] = []
@@ -233,18 +244,134 @@ def _read_columns(reader: Iterable[list[str]], fields: list[tuple[str, int, type
             kept_rows.append(n_read + np.flatnonzero(code == 0))
         codes.append(code)
         n_read += len(block)
+    return codes, parts, kept_rows, blanks
+
+
+class _Window(io.RawIOBase):
+    """The next `size` bytes of a raw binary file, as a raw stream that
+    closes the file when it is closed."""
+
+    def __init__(self, raw: io.RawIOBase, size: int):
+        super().__init__()
+        self._raw = raw
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            n = self._raw.readinto(view[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _open_text(path: str | Path, start: int = 0, stop: Optional[int] = None) -> io.TextIOWrapper:
+    """Bytes [start, stop) of a file (to its end when stop is None), decoded
+    as open(path, newline="") decodes the whole file."""
+    raw = open(path, "rb", buffering=0)
+    try:
+        if start:
+            raw.seek(start)
+        return io.TextIOWrapper(io.BufferedReader(raw if stop is None else _Window(raw, stop - start)),
+                                newline="")
+    except BaseException:
+        raw.close()
+        raise
+
+
+def _part_bounds(path: str | Path, n: int) -> list[Optional[int]]:
+    """Byte offsets [0, cut, ..., None] that split a trajectory file into
+    at most n parts, the last part running to the end of the file.
+
+    Every cut follows a b"\\n" with no b'"' anywhere before it: outside
+    quotes a newline always ends a record, so each part holds whole
+    records and the first one holds the header. (A b"\\n" byte is only
+    ever a newline in the ASCII-compatible encodings a locale uses.) The
+    cuts are the first such newlines at or after k/n of the file; a file
+    with a quote before them, or that is not a regular file, is one part.
+    """
+    if n == 1:
+        return [0, None]
+    status = os.stat(path)
+    if not stat.S_ISREG(status.st_mode):
+        return [0, None]
+    size = status.st_size
+    targets = [k * size // n for k in range(1, n)]
+    cuts: list[int] = []
+    with open(path, "rb") as fh:
+        pos = 0
+        while targets:
+            chunk = fh.read(_SCAN_BYTES)
+            quote = chunk.find(b'"')
+            clear = len(chunk) if quote < 0 else quote
+            while targets:
+                newline = chunk.find(b"\n", max(targets[0] - pos, 0), clear)
+                if newline < 0:
+                    break
+                cuts.append(pos + newline + 1)
+                targets = [t for t in targets if t >= cuts[-1]]
+            if quote >= 0 or not chunk:
+                break
+            pos += len(chunk)
+    return [0, *(c for c in cuts if c < size), None]
+
+
+def _read_part(path: str | Path, start: int, stop: Optional[int]
+               ) -> tuple[bool, list[np.ndarray], dict[str, list[np.ndarray]], list[np.ndarray], list[int]]:
+    """Read the rows of bytes [start, stop) of a trajectory file, a range
+    of whole records from _part_bounds. Returns whether the header has the
+    event columns, then _read_columns' blocks for those rows."""
+    if start:
+        with _open_text(path) as fh:
+            header = _header(path, csv.reader(fh), TRAJECTORY_COLUMNS)
+    with _open_text(path, start, stop) as fh:
+        reader = csv.reader(fh)
+        if not start:
+            header = _header(path, reader, TRAJECTORY_COLUMNS)
+        has_events = all(c in header for c in EVENT_COLUMNS)
+        if not has_events and any(c in header for c in EVENT_COLUMNS):
+            raise ValueError(f"{path}: header must include both of {EVENT_COLUMNS} or neither")
+        fields = [(name, header.index(name), float if name in FLOAT_COLUMNS else int)
+                  for name in ["driver_id", "trip_id", *TRIP_COLUMNS]
+                  if has_events or name not in EVENT_COLUMNS]
+        return has_events, *_read_columns(reader, fields, len(header))
+
+
+def _join_parts(parts: list[tuple]) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, list[int]]:
+    """The blocks of _read_part's parts joined in file order: the reason
+    code of every row read, the columns of the rows that passed, the index
+    of each of those among all rows read, and per blank line the number of
+    rows read before it. A part's indices and counts move up by the rows
+    of the parts before it."""
+    codes: list[np.ndarray] = []
+    blocks: dict[str, list[np.ndarray]] = {}
+    kept_rows: list[np.ndarray] = []
+    blanks: list[int] = []
+    n_read = 0
+    for _, part_codes, part_blocks, part_kept, part_blanks in parts:
+        codes += part_codes
+        for name in list(part_blocks):
+            blocks.setdefault(name, []).extend(part_blocks.pop(name))
+        kept_rows += [rows + n_read for rows in part_kept]
+        blanks += [rows_before + n_read for rows_before in part_blanks]
+        n_read += sum(map(len, part_codes))
 
     # each column's blocks are freed as soon as it is joined, which bounds the peak memory
     columns = {}
-    for name in list(parts):
-        blocks = parts.pop(name)
-        columns[name] = np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
-        del blocks
+    for name in list(blocks):
+        column_blocks = blocks.pop(name)
+        columns[name] = np.concatenate(column_blocks) if column_blocks else np.zeros(0, np.int64)
+        del column_blocks
     return (np.concatenate(codes) if codes else np.zeros(0, np.int8), columns,
             np.concatenate(kept_rows) if kept_rows else np.zeros(0, np.intp), blanks)
 
 
-def parse_trips(path: str | Path) -> tuple[list[Trip], IngestReport]:
+def parse_trips(path: str | Path, workers: int = 1) -> tuple[list[Trip], IngestReport]:
     """Read a trajectory CSV into columnar trips grouped by (driver_id, trip_id).
 
     Rows are read and converted BLOCK_ROWS at a time, with Python's int
@@ -258,15 +385,17 @@ def parse_trips(path: str | Path) -> tuple[list[Trip], IngestReport]:
     rows. Trips left with fewer than 2 points are dropped and their
     points counted as trip_too_short. Points are sorted by timestamp
     within each trip, and trips by (driver_id, trip_id).
+
+    With workers above 1 the file is cut into up to that many ranges of
+    whole records (no more than the usable CPUs; see _part_bounds), read
+    at the same time, the first here and the others in forked processes,
+    and joined in file order. The result is the same for any workers.
     """
-    with _read_rows(path, TRAJECTORY_COLUMNS) as (header, reader):
-        has_events = all(c in header for c in EVENT_COLUMNS)
-        if not has_events and any(c in header for c in EVENT_COLUMNS):
-            raise ValueError(f"{path}: header must include both of {EVENT_COLUMNS} or neither")
-        fields = [(name, header.index(name), float if name in FLOAT_COLUMNS else int)
-                  for name in ["driver_id", "trip_id", *TRIP_COLUMNS]
-                  if has_events or name not in EVENT_COLUMNS]
-        code, col, row_index, blanks = _read_columns(reader, fields, len(header))
+    bounds = _part_bounds(path, process_count(workers))
+    parts = run_parts(_read_part, [(path, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    has_events = parts[0][0]
+    code, col, row_index, blanks = _join_parts(parts)
+    del parts
     for name in EVENT_COLUMNS:
         col.setdefault(name, np.zeros(len(col["timestamp"]), np.int64))
 

@@ -35,6 +35,9 @@ DEFAULT_CELL_SIZE_M = 200.0
 # chord distance, so the searched box is inflated by this much
 _SLACK_FACTOR = 1.05
 _SLACK_M = 10.0
+# a chord is registered in the cells within this distance of its computed
+# path, which covers rounding in the cell crossings many times over
+_EDGE_M = 1e-3
 
 # the factors math.radians and math.degrees multiply by, so array code
 # converts angles bit for bit as the scalar code does
@@ -142,7 +145,9 @@ class SegmentGrid:
     """Uniform grid over the network's projected bounding box, plus the
     network's segment geometry as arrays.
 
-    Every segment is registered in each cell its bounding box overlaps.
+    Every segment is registered in each cell its projected chord crosses,
+    found column by column, so a long diagonal segment takes cells in
+    proportion to its length, not to its bounding box's area.
     Cells are sparse (dict keyed by integer cell coordinates). Segments
     are addressed by position in the sorted id array, so a lower
     position is a lower id.
@@ -165,15 +170,8 @@ class SegmentGrid:
         ids = sorted(network.segments)
         ends = [network.segment_endpoints(seg_id) for seg_id in ids]
         for seg_id, (a, b) in zip(ids, ends):
-            ax, ay = self.project(a.lat, a.lon)
-            bx, by = self.project(b.lat, b.lon)
-            ix0 = math.floor(min(ax, bx) / cell_size_m)
-            ix1 = math.floor(max(ax, bx) / cell_size_m)
-            iy0 = math.floor(min(ay, by) / cell_size_m)
-            iy1 = math.floor(max(ay, by) / cell_size_m)
-            for ix in range(ix0, ix1 + 1):
-                for iy in range(iy0, iy1 + 1):
-                    self.cells.setdefault((ix, iy), []).append(seg_id)
+            for cell in self._chord_cells(*self.project(a.lat, a.lon), *self.project(b.lat, b.lon)):
+                self.cells.setdefault(cell, []).append(seg_id)
 
         if self.cells:
             xs = [c[0] for c in self.cells]
@@ -193,6 +191,33 @@ class SegmentGrid:
              else initial_bearing_deg(a.lat, a.lon, b.lat, b.lon) for a, b in ends],
             dtype=float)
         self._boxes: dict[tuple[int, int, int, int], np.ndarray] = {}
+
+    def _chord_cells(self, ax: float, ay: float, bx: float, by: float) -> list[tuple[int, int]]:
+        """The cells the projected chord from (ax, ay) to (bx, by) crosses,
+        column by column, within its bounding box of cells.
+
+        In each column the chord's y range is widened by _EDGE_M on either
+        side, so a chord that runs along or through a cell edge or corner
+        is registered on both sides of it whatever the rounding.
+        """
+        cell = self.cell_size_m
+        ix0, ix1 = math.floor(min(ax, bx) / cell), math.floor(max(ax, bx) / cell)
+        iy0, iy1 = math.floor(min(ay, by) / cell), math.floor(max(ay, by) / cell)
+        if ix0 == ix1 or iy0 == iy1:
+            # one column or row of cells: the chord crosses all of its box
+            return [(ix, iy) for ix in range(ix0, ix1 + 1) for iy in range(iy0, iy1 + 1)]
+        if ax > bx:
+            ax, ay, bx, by = bx, by, ax, ay
+        slope = (by - ay) / (bx - ax)
+        cells = []
+        for ix in range(ix0, ix1 + 1):
+            # the chord's y where it enters and leaves the column
+            y0 = ay + slope * (max(ix * cell, ax) - ax)
+            y1 = ay + slope * (min((ix + 1) * cell, bx) - ax)
+            lo = max(math.floor((min(y0, y1) - _EDGE_M) / cell), iy0)
+            hi = min(math.floor((max(y0, y1) + _EDGE_M) / cell), iy1)
+            cells += [(ix, iy) for iy in range(lo, hi + 1)]
+        return cells
 
     def project(self, lat: float, lon: float) -> tuple[float, float]:
         x = math.radians(lon - self.lon0) * EARTH_RADIUS_M * self.cos_ref

@@ -5,7 +5,7 @@ also call on their own: ingest_inputs (network and trips, with hard
 events derived when the file has none), match_all (every trip, results
 in input order) and score_and_write (forest scores, driver ranking,
 score files). Each stage adds its time to a StageLog, which also keeps
-the process's peak RSS as the stage ended.
+the peak RSS of the process and its worker processes as the stage ended.
 
 Outputs land in one directory: features.csv, trip_scores.csv,
 driver_report.csv, summary.json (and model.json on request). On any
@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from .features import FeatureTable, extract_feature_table, write_feature_table
+from .forked import process_count
 from .iforest import IForestModel, save_model, threshold_from_contamination
 from .ingest import IngestReport, parse_road_network, parse_trips
 from .matching import MatchedTrip, MatchRejected, match_trip
@@ -73,9 +74,10 @@ class PipelineResult:
 
 @dataclass
 class StageLog:
-    """Seconds spent per stage, and the process's peak RSS in MB (its
-    high-water mark, ru_maxrss, which Linux reports in KiB) when each
-    stage last ended."""
+    """Seconds spent per stage, and the peak RSS in MB when each stage last
+    ended: the larger high-water mark (ru_maxrss, which Linux reports in
+    KiB) of this process and of its waited-for children, which include
+    the worker processes of parse_trips and fit."""
 
     seconds: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
@@ -86,7 +88,8 @@ class StageLog:
         t0 = time.perf_counter()
         yield
         self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - t0
-        self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        self.peak_rss_mb[stage] = max(resource.getrusage(who).ru_maxrss / 1024.0
+                                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def ingest_inputs(
@@ -95,11 +98,13 @@ def ingest_inputs(
     trips_path: Union[str, Path],
     config: AnalysisConfig,
     stages: StageLog,
+    workers: int = 1,
 ) -> tuple[RoadNetwork, list[Trip], IngestReport]:
-    """Read the network and the trips; derive hard events when the trip file has none."""
+    """Read the network and the trips (in up to `workers` processes); derive
+    hard events when the trip file has none."""
     with stages.timed("ingest"):
         network = parse_road_network(nodes_path, segments_path)
-        trips, report = parse_trips(trips_path)
+        trips, report = parse_trips(trips_path, workers=workers)
     log.info("ingest: %d points read, %d rejected, %d trips, %d segments",
              report.n_points_read, report.n_points_rejected, report.n_trips,
              len(network.segments))
@@ -139,11 +144,12 @@ def score_and_write(
     per_category: bool = False,
     model: Optional[IForestModel] = None,
     save_model_json: bool = False,
+    workers: int = 1,
 ) -> tuple[list[TripScore], list[DriverReport], IForestModel, dict[str, Path]]:
-    """Score the trips (fitting a forest unless `model` is given), rank the
-    drivers, and write trip_scores.csv, driver_report.csv and, with
-    save_model_json, model.json into out. Each path is appended to
-    `written` before it is opened.
+    """Score the trips (fitting a forest in up to `workers` processes unless
+    `model` is given), rank the drivers, and write trip_scores.csv,
+    driver_report.csv and, with save_model_json, model.json into out. Each
+    path is appended to `written` before it is opened.
 
     Raises:
         EmptyPipelineError: fewer than 2 trips in the table.
@@ -151,7 +157,8 @@ def score_and_write(
     if len(table) < 2:
         raise EmptyPipelineError("fewer than 2 trips available to score")
     with stages.timed("score"):
-        trip_scores, model = score_trips(table, config, per_category=per_category, model=model)
+        trip_scores, model = score_trips(table, config, per_category=per_category, model=model,
+                                         workers=workers)
         reports = aggregate_drivers(trip_scores, config)
     log.info("score: %d trips, %d drivers, %d drivers classified abnormal",
              len(trip_scores), len(reports), sum(1 for r in reports if r.abnormal))
@@ -181,19 +188,25 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the whole pipeline and write its outputs.
 
-    Trips are matched one after another. `workers` is accepted for
-    compatibility and ignored: the matcher is pure Python, and a thread
-    pool over it measured no faster.
+    `workers` processes, capped at the usable CPUs, read trips.csv and
+    grow the forest(s): each of those stages splits into independent
+    parts (byte ranges of the file, runs of trees) computed at the same
+    time, the first in this process and the others in forked children,
+    and joined in order, so every output is the same for any workers.
+    Events, matching, trip graphs and features run in this process, one
+    trip after another.
 
     Raises:
+        ValueError: workers below 1.
         EmptyPipelineError: nothing survived to be scored.
     """
+    workers = process_count(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         return _run(Path(nodes_path), Path(segments_path), Path(trips_path), out,
-                    config, per_category, save_model_json, written)
+                    config, per_category, save_model_json, workers, written)
     except BaseException:
         for path in written:
             try:
@@ -211,11 +224,12 @@ def _run(
     config: AnalysisConfig,
     per_category: bool,
     save_model_json: bool,
+    workers: int,
     written: list[Path],
 ) -> PipelineResult:
     stages = StageLog()
     network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
-                                           config, stages)
+                                           config, stages, workers)
     if not trips:
         raise EmptyPipelineError("no trips parsed from input")
 
@@ -244,7 +258,7 @@ def _run(
 
     trip_scores, reports, model, outputs = score_and_write(
         table, config, out, written, stages,
-        per_category=per_category, save_model_json=save_model_json)
+        per_category=per_category, save_model_json=save_model_json, workers=workers)
     threshold = threshold_from_contamination([ts.score for ts in trip_scores],
                                              config.contamination)
     outputs = {"features": out / "features.csv", **outputs, "summary": out / "summary.json"}

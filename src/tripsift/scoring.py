@@ -52,14 +52,15 @@ class DriverReport:
 
 def score_trips(
     table: FeatureTable, config: AnalysisConfig, per_category: bool = False,
-    model: Optional[IForestModel] = None,
+    model: Optional[IForestModel] = None, workers: int = 1,
 ) -> tuple[list[TripScore], IForestModel]:
     """Score every trip in the table with one forest over all vectors.
 
     The forest is fitted on the table unless a fitted `model` is given.
     A trip is abnormal iff score >= config.trip_score_threshold. With
     per_category, one additional forest is fitted per feature group on
-    that group's dimensions, seeded with rng_seed XOR group index.
+    that group's dimensions, seeded with rng_seed XOR group index. Every
+    fit grows its trees in up to `workers` processes.
 
     Returns:
         (scores in table order, the full-feature model)
@@ -72,7 +73,7 @@ def score_trips(
     X = table.to_matrix()
     if model is None:
         model = fit(X, n_trees=config.n_trees, subsample_size=config.subsample_size,
-                    rng_seed=config.rng_seed)
+                    rng_seed=config.rng_seed, workers=workers)
     scores = score_vectors(model, X)
 
     category_scores: dict[str, list[float]] = {}
@@ -80,7 +81,7 @@ def score_trips(
         for group_index, (group, dims) in enumerate(FEATURE_GROUPS.items()):
             sub_model = fit(X[:, dims], n_trees=config.n_trees,
                             subsample_size=config.subsample_size,
-                            rng_seed=config.rng_seed ^ group_index)
+                            rng_seed=config.rng_seed ^ group_index, workers=workers)
             category_scores[group] = list(score_vectors(sub_model, X[:, dims]))
 
     out = []

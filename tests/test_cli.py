@@ -187,11 +187,24 @@ def test_match_reports_matched_count_of_poor_match(tmp_path):
     assert lines[1] == "1,1,4,2,0.5000,poor_match"
 
 
-def test_pipeline_help_says_workers_ignored(capsys):
+def test_pipeline_help_says_what_workers_does(capsys):
     assert main(["pipeline", "--help"]) == 0
     out = capsys.readouterr().out
-    workers = [line for line in out.splitlines() if line.strip().startswith("--workers")]
-    assert len(workers) == 1 and "ignored" in workers[0]
+    start = next(i for i, line in enumerate(out.splitlines()) if line.strip().startswith("--workers"))
+    text = " ".join(line.strip() for line in out.splitlines()[start:start + 4])
+    assert "ignored" not in text
+    for phrase in ("processes", "trips file", "forest", "usable CPUs", "(default 1)"):
+        assert phrase in text
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_below_one_is_usage_error(tmp_path, caplog, value):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    code = main(["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
+                 "--workers", value, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"workers must be >= 1, got {value}" in caplog.text
 
 
 def test_score_subcommand_fit_and_reuse(tmp_path):
@@ -268,9 +281,10 @@ def test_no_resource_warnings(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(tripsift.__file__).parents[1])}
     base = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "tripsift"]
     data = tmp_path / "data"
+    pipeline = ["pipeline", "--network", str(data), "--trips", str(data / "trips.csv")]
     for argv in (["generate", "--out", str(data)] + GEN_ARGS,
-                 ["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
-                  "--out", str(tmp_path / "run")]):
+                 pipeline + ["--out", str(tmp_path / "run")],
+                 pipeline + ["--workers", "2", "--out", str(tmp_path / "run2")]):
         proc = subprocess.run(base + argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "ResourceWarning" not in proc.stderr

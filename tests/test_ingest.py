@@ -1,6 +1,8 @@
 """Reader behavior: strict network validation, row-level trip rejection."""
 
 import csv
+import logging
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -428,3 +430,112 @@ def test_parse_trips_equals_row_by_row_reference(case):
             values = getattr(trip, name)
             assert values.dtype == (np.float64 if name in FLOAT_COLUMNS else np.int64)
             assert values.tolist() == columns[name]
+
+
+class LogLines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def parse_logged(path, workers=1):
+    """parse_trips' trips (every column's bytes), report, reason order and
+    -v log lines, in one comparable value."""
+    logger = logging.getLogger("tripsift.ingest")
+    handler, level = LogLines(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        trips, report = parse_trips(path, workers=workers)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    columns = [(t.driver_id, t.trip_id, [(getattr(t, n).dtype, getattr(t, n).tobytes())
+                                         for n in TRIP_COLUMNS]) for t in trips]
+    return columns, report, list(report.rejection_reasons), handler.lines
+
+
+def write_oracle_file(path, case, lineterminator):
+    with_events, rows, quoting, _ = case
+    header = TRIP_HEADER.strip().split(",") + (["hard_accel", "hard_brake"] if with_events else [])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=quoting, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+LINE_ENDINGS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_files(), LINE_ENDINGS)
+def test_parse_trips_cut_at_every_line_equals_one_part(case, lineterminator):
+    """Asked for as many parts as the file has bytes, parse_trips cuts after
+    every b"\\n" that no quote precedes, and joins the parts (read here, one
+    after another) into what one part gives."""
+    parts_read = []
+
+    def in_order(fn, parts):
+        parts_read.append(len(parts))
+        return [fn(*args) for args in parts]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        data = write_oracle_file(path, case, lineterminator)
+        quote = data.find(b'"')
+        unquoted = data if quote < 0 else data[:quote]
+        cuts = sum(1 for i, byte in enumerate(unquoted) if byte == ord("\n") and i + 1 < len(data))
+        with mock.patch.object(ingest, "BLOCK_ROWS", case[3]):
+            one = parse_logged(path)
+            with mock.patch.object(ingest, "process_count", lambda workers: len(data)), \
+                    mock.patch.object(ingest, "run_parts", in_order):
+                many = parse_logged(path, workers=2)
+    assert parts_read == [1 + cuts]
+    assert many == one
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_files(), LINE_ENDINGS, st.integers(2, 4))
+def test_parse_trips_in_processes_equals_one_process(case, lineterminator, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_oracle_file(path, case, lineterminator)
+        with mock.patch.object(ingest, "BLOCK_ROWS", case[3]):
+            one = parse_logged(path)
+            with mock.patch.object(ingest, "process_count", lambda w: w):
+                many = parse_logged(path, workers=workers)
+    assert many == one
+
+
+def test_parse_trips_failing_part_raises_and_leaves_no_child(tmp_path, monkeypatch):
+    path = write(tmp_path / "t.csv",
+                 trip_rows(*(f"1,1,{i},{i},40.0,-86.0,10.0,90.0" for i in range(200))))
+    read_part = ingest._read_part
+
+    def fail_past_start(path, start, stop):
+        if start:
+            raise ValueError("unreadable part")
+        return read_part(path, start, stop)
+
+    monkeypatch.setattr(ingest, "_read_part", fail_past_start)
+    monkeypatch.setattr(ingest, "process_count", lambda workers: workers)
+    with pytest.raises(ValueError, match="unreadable part"):
+        parse_trips(path, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parse_trips_verbose_line_numbers_across_parts(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(trip_rows("1,1,1,101,40.0,-86.0,10.0,90.0", "", "1,1",
+                               "1,1,2,102,40.0,-86.0,10.0,90.0", "",
+                               "1,1,3,103,100.0,-86.0,10.0,90.0").replace("\n", "\r\n").encode())
+    monkeypatch.setattr(ingest, "process_count", lambda workers: workers)
+    _, report, _, lines = parse_logged(path, workers=4)
+    assert report.n_points_read == 4
+    assert lines == ["rejected row at line 4: bad_field_count",
+                     "rejected row at line 7: lat_out_of_range"]

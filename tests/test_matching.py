@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsift.geo import circular_diff_deg, haversine_m, initial_bearing_deg, normalize_bearing_deg
+from tripsift.geo import EARTH_RADIUS_M, circular_diff_deg, haversine_m, initial_bearing_deg, normalize_bearing_deg
 from tripsift.matching import (
     MatchRejected,
     SegmentGrid,
@@ -76,6 +76,23 @@ def test_grid_registers_segments_in_covered_cells():
     cells_with_seg = [c for c, ids in grid.cells.items() if 7 in ids]
     assert len(cells_with_seg) >= 8
     assert len({cj for _, cj in cells_with_seg}) == 1
+
+
+def test_grid_registers_diagonal_segment_along_its_chord():
+    # ~1,000 km on a 45 deg diagonal: its bounding box holds about 12.5M cells of 200 m
+    half = 1_000_000.0 / math.sqrt(2) / EARTH_RADIUS_M * 180.0 / math.pi
+    net = make_network([(1, 0.0, 0.0), (2, half, half)], [(7, 1, 2)])
+    grid = SegmentGrid(net, cell_size_m=200.0)
+    chord_cells = 1_000_000.0 / 200.0
+    assert chord_cells <= len(grid.cells) <= 3 * chord_cells
+    # the cells form one 8-connected path from corner to corner of the box
+    xs = sorted(grid.cells)
+    assert xs[0] == (0, 0)
+    assert all(abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1 for a, b in zip(xs, xs[1:]))
+    # points along the chord still snap to it
+    for f in (0.0, 0.25, 0.5, 0.999):
+        snap = nearest_segment(f * half + 1e-5, f * half, net, max_snap_distance_m=50.0)
+        assert snap is not None and snap.segment_id == 7
 
 
 def test_nearest_segment_basic_and_radius():

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tripsift
 from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
@@ -70,10 +75,16 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     assert model.n_features == 10
 
 
-def test_deterministic_across_workers(small_dataset, tmp_path):
-    run(small_dataset, tmp_path / "serial", workers=1)
-    run(small_dataset, tmp_path / "parallel", workers=4)
-    for name in ("features.csv", "trip_scores.csv", "driver_report.csv"):
+def test_deterministic_across_workers(small_dataset, tmp_path, monkeypatch):
+    run(small_dataset, tmp_path / "serial", workers=1, save_model_json=True)
+    # three usable CPUs: each split stage (ingest, fit) forks two children, whatever workers asks
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    run(small_dataset, tmp_path / "parallel", workers=64, save_model_json=True)
+    assert len(forks) == 4
+    for name in ("features.csv", "trip_scores.csv", "driver_report.csv", "model.json"):
         a = (tmp_path / "serial" / name).read_bytes()
         b = (tmp_path / "parallel" / name).read_bytes()
         assert a == b, name
@@ -173,3 +184,28 @@ def test_pipeline_builds_no_trajectory_point(small_dataset, no_event_dataset, tm
     result = run_pipeline(*no_event_dataset, tmp_path / "derived", CONFIG)
     assert result.counts["points_rejected"] == 1
     assert built == []
+
+
+def test_stage_peak_rss_counts_worker_processes():
+    """A worker that peaks above the main process raises the stage's peak RSS."""
+    script = """
+import resource
+from tripsift.forked import run_parts
+from tripsift.pipeline import StageLog
+
+def part(megabytes):
+    data = b"x" * (megabytes << 20)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+# this process's ru_maxrss may start at its launcher's, so the worker outgrows that
+own_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+stages = StageLog()
+with stages.timed("work"):
+    _, worker_peak = run_parts(part, [(0,), (int(own_peak) + 16,)])
+assert worker_peak > resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0 + 8
+assert stages.peak_rss_mb["work"] >= worker_peak, (stages.peak_rss_mb, worker_peak)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tripsift.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
