@@ -7,7 +7,7 @@ isolation forest. Drivers are flagged from their per-trip scores.
 
 __version__ = "0.1.0"
 
-from .model import AnalysisConfig, RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint, Trip
+from .model import AnalysisConfig, RoadNetwork, RoadNode, RoadSegment, Trip
 from .ingest import parse_road_network, parse_trips
 from .matching import MatchRejected, MatchedTrip, match_trip
 from .tripgraph import TripGraph, build_trip_graph, detect_events
@@ -24,7 +24,6 @@ __all__ = [
     "RoadNetwork",
     "RoadNode",
     "RoadSegment",
-    "TrajectoryPoint",
     "Trip",
     "parse_road_network",
     "parse_trips",

@@ -1,10 +1,10 @@
-"""Shared domain types: trajectory points, columnar trips, the road network, run config."""
+"""Shared domain types: columnar trips, the road network, run config."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -18,29 +18,13 @@ TRIP_COLUMNS = ("point_id", "timestamp", "lat", "lon", "speed_mps", "cog_deg",
 FLOAT_COLUMNS = ("lat", "lon", "speed_mps", "cog_deg")
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryPoint:
-    """One GPS fix. Timestamps are integer epoch seconds; course over ground in [0, 360)."""
-
-    driver_id: int
-    trip_id: int
-    point_id: int
-    timestamp: int
-    lat: float
-    lon: float
-    speed_mps: float
-    cog_deg: float
-    hard_accel: int = 0
-    hard_brake: int = 0
-
-
 @dataclass(eq=False)
 class Trip:
-    """One (driver, trip) key's points as equal-length columns, in strictly
-    increasing timestamp order.
+    """One (driver, trip) key's GPS fixes as equal-length columns, in
+    strictly increasing timestamp order.
 
-    Integer columns are int64 and the rest float64. Build one from
-    TrajectoryPoint records with Trip.from_points.
+    Timestamps are integer epoch seconds and courses over ground lie in
+    [0, 360). The FLOAT_COLUMNS are float64 and the rest int64.
     """
 
     driver_id: int
@@ -68,14 +52,6 @@ class Trip:
 
     def __len__(self) -> int:
         return len(self.timestamp)
-
-    @classmethod
-    def from_points(cls, driver_id: int, trip_id: int, points: Sequence[TrajectoryPoint]) -> "Trip":
-        """The trip of these points, in the order given."""
-        return cls(driver_id, trip_id, **{
-            name: np.array([getattr(p, name) for p in points],
-                           dtype=np.float64 if name in FLOAT_COLUMNS else np.int64)
-            for name in TRIP_COLUMNS})
 
 
 @dataclass(frozen=True)

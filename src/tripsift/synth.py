@@ -2,17 +2,21 @@
 
 A rows x cols grid of nodes at fixed spacing, drivers taking random
 monotone (staircase) routes between node pairs, points sampled once a
-second at a jittered cruising speed. Abnormal drivers get a share of
-their trips altered: spliced loops, long detours, or bursts of hard
-brake/accel events. One seeded generator drives everything, so output
-files are byte-identical for a given spec.
+second at a jittered cruising speed, straight into a Trip's columns.
+Abnormal drivers get a share of their trips altered: spliced loops,
+long detours, or bursts of hard brake/accel events. A loop or detour
+drawn for a route too short to hold it becomes a burst kind the mix can
+draw, and a trip too short for its burst stays normal. One seeded
+generator drives everything, so output files are byte-identical for a
+given spec.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -21,7 +25,7 @@ import numpy as np
 from .geo import EARTH_RADIUS_M, initial_bearing_deg, normalize_bearing_deg
 from .ingest import write_network, write_trips
 from .matching import build_spatial_index
-from .model import RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint, Trip
+from .model import RoadNetwork, RoadNode, RoadSegment, Trip
 
 ANOMALY_KINDS = ["loop", "detour", "brake_burst", "accel_burst"]
 
@@ -60,6 +64,10 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value}")
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid too small: need at least 2 rows and 2 cols")
         if self.spacing_m <= 0.0:
@@ -83,6 +91,13 @@ class SynthSpec:
             raise ValueError("background_event_prob must lie in [0, 1]")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        # the rows nearest a pole hold the grid's extreme latitude and longitude
+        for r in (0, self.rows - 1):
+            lat, dlon = _grid_row(self, r)
+            east = self.origin_lon + (self.cols - 1) * dlon
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= self.origin_lon and east <= 180.0):
+                raise ValueError(f"origin_lat/origin_lon put grid row {r} at lat {lat}, lon up "
+                                 f"to {east}: outside [-90, 90] x [-180, 180]")
 
 
 @dataclass
@@ -110,15 +125,12 @@ class GridWorld:
 class PlannedTrip:
     """A sampled trip that still remembers the node route it came from."""
 
-    driver_id: int
-    trip_id: int
+    trip: Trip
     node_path: list[int]
-    start_time: int
-    points: list[TrajectoryPoint]
     kind: Optional[str] = None
 
     def to_trip(self) -> Trip:
-        return Trip.from_points(self.driver_id, self.trip_id, self.points)
+        return self.trip
 
 
 @dataclass
@@ -135,6 +147,12 @@ class DatasetSummary:
     kind_counts: Counter = field(default_factory=Counter)
 
 
+def _grid_row(spec: SynthSpec, r: int) -> tuple[float, float]:
+    """Latitude of grid row r, and the longitude step that keeps its segments spacing_m long."""
+    lat = spec.origin_lat + np.degrees(r * spec.spacing_m / EARTH_RADIUS_M)
+    return lat, np.degrees(spec.spacing_m / (EARTH_RADIUS_M * np.cos(np.radians(lat))))
+
+
 def generate_network(spec: SynthSpec) -> RoadNetwork:
     """Grid network: rows*(cols-1) east-west plus (rows-1)*cols north-south segments.
 
@@ -144,8 +162,7 @@ def generate_network(spec: SynthSpec) -> RoadNetwork:
     """
     nodes: dict[int, RoadNode] = {}
     for r in range(spec.rows):
-        lat = spec.origin_lat + np.degrees(r * spec.spacing_m / EARTH_RADIUS_M)
-        dlon = np.degrees(spec.spacing_m / (EARTH_RADIUS_M * np.cos(np.radians(lat))))
+        lat, dlon = _grid_row(spec, r)
         for c in range(spec.cols):
             node_id = r * spec.cols + c
             nodes[node_id] = RoadNode(node_id, float(lat), float(spec.origin_lon + c * dlon))
@@ -210,7 +227,7 @@ def sample_points(
     node_path: list[int],
     start_time: int,
     rng: np.random.Generator,
-) -> list[TrajectoryPoint]:
+) -> Trip:
     """Walk the route at a jittered speed, emitting one point per period."""
     spec = world.spec
     spacing = spec.spacing_m
@@ -219,30 +236,35 @@ def sample_points(
     clearance = min(_NODE_CLEARANCE_M, total / 4.0)
     end = total - clearance
 
-    points: list[TrajectoryPoint] = []
+    lats: list[float] = []
+    lons: list[float] = []
+    speeds: list[float] = []
+    cogs: list[float] = []
+    accels: list[int] = []
+    brakes: list[int] = []
     pos = clearance
-    t = start_time
-    pid = 0
     while True:
         e = min(int(pos // spacing), n_edges - 1)
         frac = pos / spacing - e
         (lat_u, lon_u) = world.node_coords[node_path[e]]
         (lat_v, lon_v) = world.node_coords[node_path[e + 1]]
-        lat = lat_u + frac * (lat_v - lat_u)
-        lon = lon_u + frac * (lon_v - lon_u)
+        lats.append(lat_u + frac * (lat_v - lat_u))
+        lons.append(lon_u + frac * (lon_v - lon_u))
         bearing = world.bearing_by_edge[(node_path[e], node_path[e + 1])]
-        cog = normalize_bearing_deg(bearing + rng.normal(0.0, spec.cog_jitter_deg))
+        cogs.append(normalize_bearing_deg(bearing + rng.normal(0.0, spec.cog_jitter_deg)))
         speed = max(1.0, rng.normal(spec.base_speed_mps, spec.speed_jitter_mps))
-        hard_accel = 1 if rng.random() < spec.background_event_prob else 0
-        hard_brake = 1 if rng.random() < spec.background_event_prob else 0
-        points.append(TrajectoryPoint(driver_id, trip_id, pid, t, float(lat), float(lon),
-                                      float(speed), float(cog), hard_accel, hard_brake))
+        speeds.append(speed)
+        accels.append(int(rng.random() < spec.background_event_prob))
+        brakes.append(int(rng.random() < spec.background_event_prob))
         if pos >= end:
             break
         pos = min(end, pos + speed * spec.sample_period_s)
-        t += spec.sample_period_s
-        pid += 1
-    return points
+    steps = np.arange(len(lats), dtype=np.int64)
+    return Trip(driver_id, trip_id, point_id=steps,
+                timestamp=start_time + spec.sample_period_s * steps,
+                lat=np.array(lats), lon=np.array(lons), speed_mps=np.array(speeds),
+                cog_deg=np.array(cogs), hard_accel=np.array(accels, dtype=np.int64),
+                hard_brake=np.array(brakes, dtype=np.int64))
 
 
 def generate_normal_trip(
@@ -256,9 +278,7 @@ def generate_normal_trip(
 ) -> PlannedTrip:
     """Plan a staircase route between two nodes and sample it."""
     path = plan_route(world, origin, destination, rng)
-    points = sample_points(world, driver_id, trip_id, path, start_time, rng)
-    return PlannedTrip(driver_id=driver_id, trip_id=trip_id, node_path=path,
-                       start_time=start_time, points=points)
+    return PlannedTrip(sample_points(world, driver_id, trip_id, path, start_time, rng), path)
 
 
 def _offset_sides(coord: int, limit: int, depth: int) -> list[int]:
@@ -321,22 +341,25 @@ def _splice_detour(world: GridWorld, path: list[int], rng: np.random.Generator) 
     return path[:i] + out + back + path[i:]
 
 
-def _inject_burst(points: list[TrajectoryPoint], kind: str, rng: np.random.Generator) -> list[TrajectoryPoint]:
+def _inject_burst(trip: Trip, kind: str, rng: np.random.Generator) -> Optional[Trip]:
+    """A copy of the trip with a 5-10 point burst of one event kind, or
+    None if the drawn burst does not fit between its first and last point."""
     length = int(rng.integers(5, 11))
-    if len(points) < length + 2:
-        raise ValueError("trip too short to inject event burst")
-    start = int(rng.integers(1, len(points) - length))
-    out = list(points)
-    base = out[start - 1].speed_mps
-    for j in range(length):
-        p = out[start + j]
-        if kind == "brake_burst":
-            speed = max(0.5, base - _BURST_SPEED_STEP * (j + 1))
-            out[start + j] = replace(p, speed_mps=speed, hard_brake=1)
-        else:
-            speed = min(55.0, base + _BURST_SPEED_STEP * (j + 1))
-            out[start + j] = replace(p, speed_mps=speed, hard_accel=1)
-    return out
+    if len(trip) < length + 2:
+        return None
+    start = int(rng.integers(1, len(trip) - length))
+    burst = slice(start, start + length)
+    steps = _BURST_SPEED_STEP * np.arange(1, length + 1)
+    speed = trip.speed_mps.copy()
+    if kind == "brake_burst":
+        flag = "hard_brake"
+        speed[burst] = np.maximum(0.5, speed[start - 1] - steps)
+    else:
+        flag = "hard_accel"
+        speed[burst] = np.minimum(55.0, speed[start - 1] + steps)
+    flags = getattr(trip, flag).copy()
+    flags[burst] = 1
+    return replace(trip, speed_mps=speed, **{flag: flags})
 
 
 def inject_anomaly(
@@ -345,11 +368,13 @@ def inject_anomaly(
     """Return a copy of the trip altered by one anomaly kind.
 
     Route anomalies (loop, detour) rewrite the node path and resample
-    the points; event bursts rewrite a stretch of sampled points.
+    the points; event bursts rewrite a stretch of sampled points. A trip
+    too short for the burst drawn for it comes back unaltered, with kind
+    None.
 
     Raises:
-        ValueError: unknown kind, or trip too short for it (route
-            anomalies need at least 3 segments).
+        ValueError: unknown kind, or a route anomaly on a route of
+            fewer than 3 segments.
     """
     if kind not in ANOMALY_KINDS:
         raise ValueError(f"unknown anomaly kind {kind!r}")
@@ -360,12 +385,11 @@ def inject_anomaly(
             new_path = _splice_loop(world, planned.node_path, rng)
         else:
             new_path = _splice_detour(world, planned.node_path, rng)
-        points = sample_points(world, planned.driver_id, planned.trip_id, new_path,
-                               planned.start_time, rng)
-        return PlannedTrip(driver_id=planned.driver_id, trip_id=planned.trip_id,
-                           node_path=new_path, start_time=planned.start_time,
-                           points=points, kind=kind)
-    return replace(planned, points=_inject_burst(planned.points, kind, rng), kind=kind)
+        trip = planned.trip
+        return PlannedTrip(sample_points(world, trip.driver_id, trip.trip_id, new_path,
+                                         int(trip.timestamp[0]), rng), new_path, kind)
+    burst = _inject_burst(planned.trip, kind, rng)
+    return planned if burst is None else PlannedTrip(burst, planned.node_path, kind)
 
 
 def _pick_endpoints(world: GridWorld, rng: np.random.Generator) -> tuple[int, int]:
@@ -417,18 +441,18 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
                 trip_counter += 1
                 planned = generate_normal_trip(world, driver_id, trip_id, origin, destination,
                                                start_time, rng)
-                kind: Optional[str] = None
                 if (driver_id in abnormal_set and weights is not None
                         and rng.random() < spec.injection_rate):
                     kind = ANOMALY_KINDS[int(rng.choice(len(ANOMALY_KINDS), p=weights))]
                     if kind in ("loop", "detour") and len(planned.node_path) - 1 < 3:
-                        kind = ("brake_burst" if spec.brake_burst_prob + spec.accel_burst_prob > 0
-                                else None)
+                        kind = ("brake_burst" if spec.brake_burst_prob > 0
+                                else "accel_burst" if spec.accel_burst_prob > 0 else None)
                     if kind is not None:
                         planned = inject_anomaly(world, planned, kind, rng)
-                        kind_counts[kind] += 1
-                trip_truth.append((driver_id, trip_id, kind))
-                yield planned.to_trip()
+                if planned.kind is not None:
+                    kind_counts[planned.kind] += 1
+                trip_truth.append((driver_id, trip_id, planned.kind))
+                yield planned.trip
 
     nodes_path = out / "nodes.csv"
     segments_path = out / "segments.csv"

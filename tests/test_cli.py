@@ -157,6 +157,21 @@ def test_non_finite_analysis_values_are_usage_errors(tmp_path, caplog, flag, fie
     assert field in caplog.text
 
 
+@pytest.mark.parametrize("flag,field", [
+    ("--spacing", "spacing_m"),
+    ("--base-speed", "base_speed_mps"),
+    ("--loop-prob", "loop_prob"),
+])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_synth_values_are_usage_errors(tmp_path, caplog, flag, field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthSpec(**{field: float(value)})
+    code = main(["generate", "--out", str(tmp_path / "data"), f"{flag}={value}"] + GEN_ARGS)
+    assert code == 2
+    assert field in caplog.text
+    assert not (tmp_path / "data" / "trips.csv").exists()
+
+
 def test_match_subcommand(tmp_path):
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0

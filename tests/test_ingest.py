@@ -22,7 +22,7 @@ from tripsift.ingest import (
     write_network,
     write_trips,
 )
-from tripsift.model import FLOAT_COLUMNS, TRIP_COLUMNS, TrajectoryPoint, Trip
+from tripsift.model import FLOAT_COLUMNS, TRIP_COLUMNS, Trip
 
 
 def write(path, text):
@@ -220,17 +220,18 @@ def test_parse_trips_empty_file(tmp_path):
 
 
 def test_write_trips_roundtrip(tmp_path):
-    pts = [
-        TrajectoryPoint(3, 7, 0, 1000, 40.123456789, -86.000000123, 12.5, 359.25, 0, 1),
-        TrajectoryPoint(3, 7, 1, 1001, 40.123457, -86.0000002, 12.25, 0.0, 1, 0),
-    ]
+    trip = Trip(3, 7, point_id=np.array([0, 1]), timestamp=np.array([1000, 1001]),
+                lat=np.array([40.123456789, 40.123457]),
+                lon=np.array([-86.000000123, -86.0000002]),
+                speed_mps=np.array([12.5, 12.25]), cog_deg=np.array([359.25, 0.0]),
+                hard_accel=np.array([0, 1]), hard_brake=np.array([1, 0]))
     path = tmp_path / "out.csv"
-    write_trips([Trip.from_points(3, 7, pts)], path)
+    write_trips([trip], path)
     trips, report = parse_trips(path)
     assert report.has_event_columns
     assert (trips[0].driver_id, trips[0].trip_id) == (3, 7)
     for name in TRIP_COLUMNS:
-        assert getattr(trips[0], name).tolist() == [getattr(p, name) for p in pts]
+        assert getattr(trips[0], name).tolist() == getattr(trip, name).tolist()
 
 
 def test_write_network_roundtrip(tmp_path, network_paths):

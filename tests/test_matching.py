@@ -23,7 +23,6 @@ from tripsift.model import (
     RoadNetwork,
     RoadNode,
     RoadSegment,
-    TrajectoryPoint,
     Trip,
 )
 
@@ -271,11 +270,13 @@ def test_travel_direction():
 
 
 def line_trip(latlons, cogs, driver=1, trip=1):
-    points = [
-        TrajectoryPoint(driver, trip, i, 100 + i, lat, lon, 10.0, cog)
-        for i, ((lat, lon), cog) in enumerate(zip(latlons, cogs))
-    ]
-    return Trip.from_points(driver, trip, points)
+    """A trip through these fixes at 10 m/s, one a second from t = 100, with no events."""
+    n = len(latlons)
+    lat, lon = np.array(latlons, dtype=np.float64).reshape(n, 2).T
+    return Trip(driver, trip, point_id=np.arange(n), timestamp=100 + np.arange(n),
+                lat=lat, lon=lon, speed_mps=np.full(n, 10.0),
+                cog_deg=np.array(cogs, dtype=np.float64),
+                hard_accel=np.zeros(n, np.int64), hard_brake=np.zeros(n, np.int64))
 
 
 @pytest.fixture
@@ -367,11 +368,10 @@ def trip_cases(draw):
     if bearings:
         courses |= st.builds(lambda b, turn: normalize_bearing_deg(b + turn),
                              st.sampled_from(bearings), st.sampled_from([90.0, -90.0, 180.0]))
-    points = [TrajectoryPoint(1, 1, i, 100 + i, lat, lon, 10.0, draw(courses))
-              for i, (lat, lon) in enumerate(spots)]
+    cogs = [draw(courses) for _ in spots]
     config = AnalysisConfig(max_snap_distance_m=draw(st.sampled_from([5.0, 50.0, 500.0])),
                             min_matched_fraction=draw(st.floats(0.01, 1.0)))
-    return network, Trip.from_points(1, 1, points), config
+    return network, line_trip(spots, cogs), config
 
 
 @settings(max_examples=200, deadline=None)

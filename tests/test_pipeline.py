@@ -13,7 +13,7 @@ import tripsift
 from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
-from tripsift.model import AnalysisConfig, TrajectoryPoint
+from tripsift.model import AnalysisConfig
 from tripsift.pipeline import EmptyPipelineError, run_pipeline
 from tripsift.tripgraph import build_trip_graph
 
@@ -164,26 +164,6 @@ def test_events_derived_when_columns_missing(small_dataset, tmp_path):
     assert result.counts["trips_scored"] == small_dataset.n_trips
     # speed steps planted by the generator are recovered as hard events
     assert any(v.brakes_per_km > 0 or v.accels_per_km > 0 for v in result.table.vectors)
-
-
-def test_pipeline_builds_no_trajectory_point(small_dataset, no_event_dataset, tmp_path,
-                                             monkeypatch):
-    """Trips stay columnar from the CSV to the trip graphs."""
-    built = []
-    init = TrajectoryPoint.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TrajectoryPoint, "__init__", counting_init)
-    TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0)   # the counter sees a build
-    assert built == [1]
-    built.clear()
-    run(small_dataset, tmp_path / "events")
-    result = run_pipeline(*no_event_dataset, tmp_path / "derived", CONFIG)
-    assert result.counts["points_rejected"] == 1
-    assert built == []
 
 
 def test_stage_peak_rss_counts_worker_processes():

@@ -1,10 +1,12 @@
 """Synthetic data generator: grid geometry, routes, injections, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from tripsift.geo import circular_diff_deg, haversine_m
-from tripsift.ingest import parse_road_network, parse_trips
+from tripsift.ingest import parse_road_network, parse_trips, write_network
 from tripsift.matching import match_trip, nearest_segment
 from tripsift.model import AnalysisConfig
 from tripsift.synth import (
@@ -79,16 +81,17 @@ def test_sample_points_walks_the_route():
     world = build_world(spec)
     rng = np.random.default_rng(1)
     path = [0, 1, 2, 3]
-    pts = sample_points(world, 1, 1, path, start_time=1000, rng=rng)
-    assert len(pts) == pytest.approx(3 * 500.0 / 12.0, abs=3)
-    assert [p.timestamp for p in pts] == list(range(1000, 1000 + len(pts)))
-    assert all(p.speed_mps == 12.0 for p in pts)
+    trip = sample_points(world, 1, 1, path, start_time=1000, rng=rng)
+    assert len(trip) == pytest.approx(3 * 500.0 / 12.0, abs=3)
+    assert trip.timestamp.tolist() == list(range(1000, 1000 + len(trip)))
+    assert trip.point_id.tolist() == list(range(len(trip)))
+    assert all(speed == 12.0 for speed in trip.speed_mps.tolist())
     # jitter disabled: course equals the eastbound edge bearing
-    for p in pts:
-        assert circular_diff_deg(p.cog_deg, 90.0) < 1.0
+    for cog in trip.cog_deg.tolist():
+        assert circular_diff_deg(cog, 90.0) < 1.0
     # samples stay clear of the route's end nodes
     lat0, lon0 = world.node_coords[0]
-    assert haversine_m(pts[0].lat, pts[0].lon, lat0, lon0) > 0.5
+    assert haversine_m(trip.lat[0], trip.lon[0], lat0, lon0) > 0.5
 
 
 def test_samples_lie_on_network():
@@ -143,8 +146,8 @@ def test_inject_route_anomalies_resample_points():
         out = inject_anomaly(world, base, kind, np.random.default_rng(7))
         assert out.kind == kind
         assert len(out.node_path) > len(base.node_path)
-        assert out.points[0].timestamp == 1000
-        assert len(out.points) > len(base.points)
+        assert out.trip.timestamp[0] == 1000
+        assert len(out.trip) > len(base.trip)
         # original is untouched
         assert base.kind is None and len(base.node_path) == world.manhattan(0, 35) + 1
 
@@ -154,19 +157,27 @@ def test_inject_bursts_flag_consecutive_points():
     world = build_world(spec)
     rng = np.random.default_rng(8)
     base = generate_normal_trip(world, 1, 1, 0, 35, 0, rng)
-    for kind, flag in (("brake_burst", "hard_brake"), ("accel_burst", "hard_accel")):
+    base_speed = base.trip.speed_mps.copy()
+    for kind, flag, other in (("brake_burst", "hard_brake", "hard_accel"),
+                              ("accel_burst", "hard_accel", "hard_brake")):
         out = inject_anomaly(world, base, kind, np.random.default_rng(2))
         assert out.kind == kind
         assert out.node_path == base.node_path
-        flagged = [i for i, p in enumerate(out.points) if getattr(p, flag) == 1]
+        flagged = np.flatnonzero(getattr(out.trip, flag) == 1).tolist()
+        # only the burst's speeds and its own flag column change
+        outside = np.ones(len(base.trip), dtype=bool)
+        outside[flagged] = False
+        assert out.trip.speed_mps[outside].tolist() == base_speed[outside].tolist()
+        assert getattr(out.trip, other).tolist() == getattr(base.trip, other).tolist()
         assert 5 <= len(flagged) <= 10
         assert flagged == list(range(flagged[0], flagged[-1] + 1))
         # speeds move the right way across the burst
-        speeds = [out.points[i].speed_mps for i in flagged]
+        speeds = out.trip.speed_mps[flagged].tolist()
         if kind == "brake_burst":
-            assert speeds[-1] < base.points[flagged[0] - 1].speed_mps
+            assert speeds[-1] < base.trip.speed_mps[flagged[0] - 1]
         else:
-            assert speeds[-1] > base.points[flagged[0] - 1].speed_mps
+            assert speeds[-1] > base.trip.speed_mps[flagged[0] - 1]
+    assert base.kind is None and base.trip.speed_mps.tolist() == base_speed.tolist()
 
 
 def test_inject_anomaly_errors():
@@ -229,3 +240,64 @@ def test_tiny_grid_falls_back_to_bursts(tmp_path):
     assert summary.kind_counts.get("loop", 0) == 0
     assert summary.kind_counts.get("detour", 0) == 0
     assert summary.kind_counts.get("brake_burst", 0) > 0
+
+
+def test_tiny_grid_fallback_follows_the_mix(tmp_path):
+    """A route anomaly that does not fit a 2x2 route falls back to a burst
+    kind the mix can draw."""
+    spec = SynthSpec(rows=2, cols=2, n_drivers=2, trips_per_driver=5,
+                     abnormal_driver_fraction=0.5, injection_rate=1.0,
+                     loop_prob=1.0, detour_prob=0.0,
+                     brake_burst_prob=0.0, accel_burst_prob=1.0, rng_seed=1)
+    summary = generate_dataset(spec, tmp_path / "tiny")
+    assert set(summary.kind_counts) == {"accel_burst"}
+    assert summary.kind_counts["accel_burst"] == spec.trips_per_driver
+
+
+def test_trip_too_short_for_its_burst_stays_normal(tmp_path):
+    """Routes of 120 m give trips of about 10 points: some fit the drawn
+    burst and are altered, the rest are written unaltered and labelled normal."""
+    spec = SynthSpec(rows=2, cols=2, spacing_m=60.0, n_drivers=3, trips_per_driver=4,
+                     abnormal_driver_fraction=1.0, injection_rate=1.0)
+    summary = generate_dataset(spec, tmp_path / "short")
+    trips, _ = parse_trips(summary.trips_path)
+    assert len(trips) == summary.n_trips == 12
+    rows = summary.trip_truth_path.read_text().strip().splitlines()[1:]
+    labels = [row.split(",")[2:] for row in rows]
+    assert ["normal", ""] in labels
+    assert sorted(kind for label, kind in labels if label == "abnormal") == sorted(
+        summary.kind_counts.elements())
+    assert all(kind in ("brake_burst", "accel_burst") for kind in summary.kind_counts)
+    assert sum(summary.kind_counts.values()) > 0
+
+
+# sha256 of generate_dataset(SMALL)'s files; any change to what the
+# generator draws or writes must show up here
+SMALL_DIGESTS = {
+    "nodes.csv": "aed844c7cef17fd06e8cc8b905b58761a6fe09b932d680ce2359c407ef2b2db0",
+    "segments.csv": "597f686d2b566b7536dce7a0cb8cd04291586a74f67056803b465b5ac6a121e2",
+    "trips.csv": "9dc7806b921fbadddfcf1526636147dfefcc288dbc57a7bd6f4963fbfc160661",
+    "truth.csv": "5d157e766e628b0948b74fe2c20e49846aa99df8b07a707875bc1a00b8223ffb",
+    "truth_trips.csv": "4f7ecd2ff3cf757d9107efda9b5c5cfe100f930fe985c8920020c3e0d45f5562",
+}
+
+
+def test_generate_dataset_bytes_are_pinned(tmp_path):
+    generate_dataset(SMALL, tmp_path)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SMALL_DIGESTS} == SMALL_DIGESTS
+
+
+def test_spec_grid_must_lie_in_lat_lon_range(tmp_path):
+    """A spec is refused exactly when its grid would leave the range that
+    parse_road_network reads: through the origin, over a pole, or over the
+    antimeridian."""
+    outside = [(95.0, -86.0), (-90.5, -86.0), (89.999, -86.0), (40.0, 179.99), (40.0, -180.5)]
+    for origin_lat, origin_lon in outside:
+        with pytest.raises(ValueError, match="origin_lat/origin_lon"):
+            SynthSpec(origin_lat=origin_lat, origin_lon=origin_lon)
+    for origin_lat, origin_lon in [(89.9, 150.0), (40.0, 179.97), (-89.9, -180.0)]:
+        spec = SynthSpec(origin_lat=origin_lat, origin_lon=origin_lon)
+        write_network(generate_network(spec), tmp_path / "n.csv", tmp_path / "s.csv")
+        network = parse_road_network(tmp_path / "n.csv", tmp_path / "s.csv")
+        assert len(network.nodes) == spec.rows * spec.cols

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tripsift.features import extract_features
 from tripsift.geo import haversine_m
 from tripsift.matching import MatchedTrip, SnapResult
-from tripsift.model import RoadNetwork, RoadNode, RoadSegment, TrajectoryPoint, Trip
+from tripsift.model import FLOAT_COLUMNS, TRIP_COLUMNS, RoadNetwork, RoadNode, RoadSegment, Trip
 from tripsift.tripgraph import (
     MATRIX_CSV_COLUMNS,
     build_trip_graph,
@@ -38,15 +38,21 @@ def two_segment_network():
     )
 
 
+def trip_of_rows(rows, trip_id=1):
+    """Driver 1's trip of these rows, each a tuple in TRIP_COLUMNS order."""
+    return Trip(1, trip_id, **{
+        name: np.array(column, dtype=np.float64 if name in FLOAT_COLUMNS else np.int64)
+        for name, column in zip(TRIP_COLUMNS, zip(*rows))})
+
+
 def mp(seg, direction, ts, speed=10.0, cog=90.0, brake=0, accel=0, lat=40.0, lon=-86.0):
-    """One matched point: the fix and the directed edge key it snapped to."""
-    p = TrajectoryPoint(1, 1, ts, 100 + ts, lat, lon, speed, cog, accel, brake)
-    return p, (seg, direction)
+    """One matched point: the fix as a trip row, and the directed edge key it snapped to."""
+    return (ts, 100 + ts, lat, lon, speed, cog, accel, brake), (seg, direction)
 
 
-def matched_points(points, edges, first, last, trip_id=1):
-    """A fully matched trip of these points, each on its (segment, direction) edge."""
-    return MatchedTrip(Trip.from_points(1, trip_id, points), np.arange(len(points)),
+def matched_points(rows, edges, first, last, trip_id=1):
+    """A fully matched trip of these rows, each on its (segment, direction) edge."""
+    return MatchedTrip(trip_of_rows(rows, trip_id), np.arange(len(rows)),
                        np.array([seg for seg, _ in edges]),
                        np.array([direction for _, direction in edges]), first, last, 1.0)
 
@@ -54,36 +60,34 @@ def matched_points(points, edges, first, last, trip_id=1):
 def matched_trip(mps, trip_id=1):
     """A fully matched trip whose first and last points snapped where they lie."""
     (first, first_key), (last, last_key) = mps[0], mps[-1]
-    return matched_points([p for p, _ in mps], [key for _, key in mps],
-                          SnapResult(first_key[0], 1.0, first.lat, first.lon),
-                          SnapResult(last_key[0], 1.0, last.lat, last.lon), trip_id)
+    # a row's lat and lon are its third and fourth fields
+    return matched_points([row for row, _ in mps], [key for _, key in mps],
+                          SnapResult(first_key[0], 1.0, *first[2:4]),
+                          SnapResult(last_key[0], 1.0, *last[2:4]), trip_id)
 
 
-def derive(points, accel_threshold):
-    """detect_events on the columns of these points, as (hard_accel, hard_brake) pairs."""
-    accel, brake = detect_events([p.timestamp for p in points], [p.speed_mps for p in points],
-                                 accel_threshold)
+def derive(fixes, accel_threshold):
+    """detect_events on these (timestamp, speed) fixes, as (hard_accel, hard_brake) pairs."""
+    timestamps, speeds = zip(*fixes)
+    accel, brake = detect_events(timestamps, speeds, accel_threshold)
     return list(zip(accel.tolist(), brake.tolist()))
 
 
 def test_point_sequence_events():
-    pts = [
-        TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0),
-        TrajectoryPoint(1, 1, 1, 1, 40.0, -86.0, 14.0, 90.0),   # +4 m/s2
-        TrajectoryPoint(1, 1, 2, 2, 40.0, -86.0, 10.0, 90.0),   # -4 m/s2
-        TrajectoryPoint(1, 1, 3, 4, 40.0, -86.0, 16.0, 90.0),   # +3 over 2 s
-        TrajectoryPoint(1, 1, 4, 5, 40.0, -86.0, 13.5, 90.0),   # -2.5
+    fixes = [
+        (0, 10.0),
+        (1, 14.0),   # +4 m/s2
+        (2, 10.0),   # -4 m/s2
+        (4, 16.0),   # +3 over 2 s
+        (5, 13.5),   # -2.5
     ]
-    assert derive(pts, accel_threshold=3.0) == [
+    assert derive(fixes, accel_threshold=3.0) == [
         (0, 0), (1, 0), (0, 1), (1, 0), (0, 0)]
 
 
 def test_detect_events_zero_dt_skipped():
-    pts = [
-        TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0),
-        TrajectoryPoint(1, 1, 1, 0, 40.0, -86.0, 50.0, 90.0),
-    ]
-    assert derive(pts, accel_threshold=3.0)[1] == (0, 0)
+    fixes = [(0, 10.0), (0, 50.0)]
+    assert derive(fixes, accel_threshold=3.0)[1] == (0, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,16 +98,15 @@ def test_detect_events_follow_threshold_rule(steps, threshold_quarters):
     """Speeds are multiples of 0.25 m/s and time steps powers of two, so every
     acceleration is exact and some land exactly on the threshold."""
     threshold = threshold_quarters / 4
-    points = [TrajectoryPoint(1, 1, 0, 0, 40.0, -86.0, 10.0, 90.0, 1, 1)]
-    for i, (dt, speed_quarters) in enumerate(steps, 1):
-        points.append(TrajectoryPoint(1, 1, i, points[-1].timestamp + dt, 40.0, -86.0,
-                                      speed_quarters / 4, 90.0, 1, 1))
-    out = derive(points, accel_threshold=threshold)
-    assert len(out) == len(points)
+    fixes = [(0, 10.0)]
+    for dt, speed_quarters in steps:
+        fixes.append((fixes[-1][0] + dt, speed_quarters / 4))
+    out = derive(fixes, accel_threshold=threshold)
+    assert len(out) == len(fixes)
     assert out[0] == (0, 0)
-    for prev, cur, (hard_accel, hard_brake) in zip(points, points[1:], out[1:]):
-        dv = cur.speed_mps - prev.speed_mps
-        dt = cur.timestamp - prev.timestamp
+    for (t0, v0), (t1, v1), (hard_accel, hard_brake) in zip(fixes, fixes[1:], out[1:]):
+        dv = v1 - v0
+        dt = t1 - t0
         assert hard_accel == int(dt > 0 and dv >= threshold * dt)
         assert hard_brake == int(dt > 0 and dv <= -threshold * dt)
 
@@ -173,7 +176,7 @@ def test_net_displacement_uses_snapped_positions(two_segment_network):
     # the fixes lie off the road; only the snapped ends count
     points = [mp(10, 1, 0, lat=40.0001, lon=-86.0), mp(10, 1, 1, lat=40.0001, lon=-85.995),
               mp(11, 1, 2, lat=40.0002, lon=-85.985)]
-    matched = matched_points([p for p, _ in points], [key for _, key in points],
+    matched = matched_points([row for row, _ in points], [key for _, key in points],
                              SnapResult(10, 11.1, 40.0, -86.0),
                              SnapResult(11, 22.2, 40.0, -85.985))
     graph = build_trip_graph(matched, two_segment_network)
@@ -244,12 +247,12 @@ def square_trips(draw):
     runs = draw(st.lists(st.tuples(st.sampled_from(sorted(SQUARE.segments)),
                                    st.sampled_from([1, -1]), st.integers(1, 4)),
                          min_size=1, max_size=12))
-    points, edges = [], []
+    rows, edges = [], []
     for seg, direction, n in runs:
         for _ in range(n):
-            ts = len(points)
-            points.append(TrajectoryPoint(
-                1, 1, ts, 100 + ts, 40.0, -86.0,
+            ts = len(rows)
+            rows.append((
+                ts, 100 + ts, 40.0, -86.0,
                 draw(st.floats(0.0, 40.0)),
                 draw(st.floats(0.0, 360.0, exclude_max=True)),
                 draw(st.integers(0, 1)),
@@ -259,8 +262,8 @@ def square_trips(draw):
     first = snap_on(edges[0][0], draw(st.floats(0.0, 1.0)))
     last = snap_on(edges[-1][0], draw(st.floats(0.0, 1.0)))
     # one more fix that did not snap, so that a trip can have a single matched point
-    unmatched = TrajectoryPoint(1, 1, len(points), 100 + len(points), 41.0, -86.0, 10.0, 0.0)
-    return MatchedTrip(Trip.from_points(1, 1, points + [unmatched]), np.arange(len(points)),
+    unmatched = (len(rows), 100 + len(rows), 41.0, -86.0, 10.0, 0.0, 0, 0)
+    return MatchedTrip(trip_of_rows(rows + [unmatched]), np.arange(len(rows)),
                        np.array([seg for seg, _ in edges]),
                        np.array([direction for _, direction in edges]), first, last, 1.0)
 
