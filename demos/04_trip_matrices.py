@@ -24,9 +24,10 @@ def show(world, planned, label: str):
     print(f"--- {label} ---")
     print(f"node path: {planned.node_path}")
     print(f"{'seg':>4s} {'dir':>4s} {'visits':>7s} {'len_m':>8s} {'speed':>6s}")
-    for row in graph.rows:
-        print(f"{row.segment_id:4d} {row.direction:+4d} {row.n_traversals:7d} "
-              f"{row.length_m:8.1f} {row.avg_speed_mps:6.2f}")
+    for segment, direction, visits, length, speed in zip(
+            graph.segment_id, graph.direction, graph.n_traversals, graph.length_m,
+            graph.avg_speed_mps):
+        print(f"{segment:4d} {direction:+4d} {visits:7d} {length:8.1f} {speed:6.2f}")
     print(f"trip length {graph.trip_length_m:.0f} m, "
           f"net displacement {graph.net_displacement_m:.0f} m")
     return extract_features(graph)
@@ -46,7 +47,7 @@ def main() -> None:
 
     print()
     print(f"{'feature':32s} {'normal':>8s} {'looped':>8s}")
-    for name, a, b in zip(FEATURE_NAMES, f_base.to_array(), f_loop.to_array()):
+    for name, a, b in zip(FEATURE_NAMES, f_base, f_loop):
         marker = "  <-" if not np.isclose(a, b) else ""
         print(f"{name:32s} {a:8.3f} {b:8.3f}{marker}")
 

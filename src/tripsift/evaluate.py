@@ -89,6 +89,11 @@ def metrics(counts: ConfusionCounts) -> Metrics:
 
 def read_truth(path: str | Path) -> dict[int, bool]:
     """Driver id -> abnormal flag from a truth CSV (driver_id,label)."""
+    return read_driver_labels(path, "label")
+
+
+def read_driver_labels(path: str | Path, column: str) -> dict[int, bool]:
+    """Driver id -> abnormal flag, from a CSV with driver_id and a normal/abnormal column."""
     out: dict[int, bool] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -96,11 +101,11 @@ def read_truth(path: str | Path) -> dict[int, bool]:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        for name in ("driver_id", "label"):
+        for name in ("driver_id", column):
             if name not in header:
                 raise ValueError(f"{path}: header missing column {name}")
         id_col = header.index("driver_id")
-        label_col = header.index("label")
+        label_col = header.index(column)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -110,7 +115,7 @@ def read_truth(path: str | Path) -> dict[int, bool]:
                 raise ValueError(f"{path}: malformed row at line {lineno}") from None
             label = row[label_col].strip() if label_col < len(row) else ""
             if label not in ("normal", "abnormal"):
-                raise ValueError(f"{path}: unknown label {label!r} at line {lineno}")
+                raise ValueError(f"{path}: unknown {column} {label!r} at line {lineno}")
             if driver_id in out:
                 raise ValueError(f"{path}: duplicate driver id {driver_id} at line {lineno}")
             out[driver_id] = label == "abnormal"

@@ -3,15 +3,16 @@
 Ten dimensions in a fixed order; no standardization anywhere. The
 direction group captures route shape (loops, detours, erratic
 heading), the braking/acceleration groups capture hard events, and
-mean speed stands alone.
+mean speed stands alone. A FeatureTable holds the vectors of many
+trips as one (N, 10) matrix, the form the forest reads.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +30,7 @@ FEATURE_GROUPS: dict[str, tuple[int, ...]] = {
 FEATURE_TABLE_COLUMNS = ["driver_id", "trip_id"] + [f"f{i}" for i in range(1, 11)]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     displacement_ratio: float           # f1: net displacement / trip length, in [0, 1]
     repetition_ratio: float             # f2: traversals per distinct directed edge, >= 1
     revisited_edge_fraction: float      # f3: fraction of edges traversed more than once
@@ -42,17 +42,8 @@ class FeatureVector:
     max_edge_accels: float              # f9
     mean_speed: float                   # f10: point-weighted, m/s
 
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
 
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "FeatureVector":
-        if len(values) != len(FEATURE_NAMES):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
-        return cls(*[float(v) for v in values])
-
-
-FEATURE_NAMES = [f.name for f in fields(FeatureVector)]
+FEATURE_NAMES = list(FeatureVector._fields)
 
 
 @dataclass
@@ -60,13 +51,10 @@ class FeatureTable:
     """Feature vectors keyed by (driver_id, trip_id), sorted by key."""
 
     keys: list[tuple[int, int]]
-    vectors: list[FeatureVector]
+    matrix: np.ndarray                  # (len(keys), 10) floats, row i is the vector of keys[i]
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def to_matrix(self) -> np.ndarray:
-        return np.array([v.to_array() for v in self.vectors], dtype=float)
 
 
 def extract_features(graph: TripGraph) -> FeatureVector:
@@ -77,26 +65,27 @@ def extract_features(graph: TripGraph) -> FeatureVector:
     """
     if graph.trip_length_m <= 0.0:
         raise ValueError(f"degenerate trip ({graph.driver_id},{graph.trip_id}): non-positive length")
-    rows = graph.rows
     km = graph.trip_length_m / 1000.0
 
     turn_sum = 0.0
+    directions = graph.avg_direction_deg
     seq = graph.traversal_sequence
     for a, b in zip(seq, seq[1:]):
-        turn_sum += circular_diff_deg(rows[a].avg_direction_deg, rows[b].avg_direction_deg)
+        turn_sum += circular_diff_deg(directions[a], directions[b])
 
-    n_points = sum(r.n_points for r in rows)
+    n_rows = len(graph.segment_id)
     return FeatureVector(
         displacement_ratio=min(1.0, graph.net_displacement_m / graph.trip_length_m),
-        repetition_ratio=sum(r.n_traversals for r in rows) / len(rows),
-        revisited_edge_fraction=sum(1 for r in rows if r.n_traversals >= 2) / len(rows),
+        repetition_ratio=sum(graph.n_traversals) / n_rows,
+        revisited_edge_fraction=sum(1 for n in graph.n_traversals if n >= 2) / n_rows,
         turn_density=turn_sum / km,
         direction_circular_variance=1.0 - graph.cog_resultant,
-        brakes_per_km=sum(r.n_hard_brakes for r in rows) / km,
-        max_edge_brakes=float(max(r.n_hard_brakes for r in rows)),
-        accels_per_km=sum(r.n_hard_accels for r in rows) / km,
-        max_edge_accels=float(max(r.n_hard_accels for r in rows)),
-        mean_speed=sum(r.avg_speed_mps * r.n_points for r in rows) / n_points,
+        brakes_per_km=sum(graph.n_hard_brakes) / km,
+        max_edge_brakes=float(max(graph.n_hard_brakes)),
+        accels_per_km=sum(graph.n_hard_accels) / km,
+        max_edge_accels=float(max(graph.n_hard_accels)),
+        mean_speed=(sum(s * n for s, n in zip(graph.avg_speed_mps, graph.n_points))
+                    / sum(graph.n_points)),
     )
 
 
@@ -111,7 +100,7 @@ def extract_feature_table(graphs: Sequence[TripGraph]) -> FeatureTable:
     ordered = sorted(graphs, key=lambda g: (g.driver_id, g.trip_id))
     return FeatureTable(
         keys=[(g.driver_id, g.trip_id) for g in ordered],
-        vectors=[extract_features(g) for g in ordered],
+        matrix=np.array([extract_features(g) for g in ordered], dtype=float).reshape(-1, 10),
     )
 
 
@@ -119,13 +108,13 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_TABLE_COLUMNS)
-        for (driver_id, trip_id), vec in zip(table.keys, table.vectors):
-            writer.writerow([driver_id, trip_id] + [repr(float(v)) for v in vec.to_array()])
+        for (driver_id, trip_id), values in zip(table.keys, table.matrix.tolist()):
+            writer.writerow([driver_id, trip_id] + [repr(v) for v in values])
 
 
 def read_feature_table(path: str | Path) -> FeatureTable:
     """Read a feature table CSV; rows are re-sorted by (driver_id, trip_id)."""
-    entries: dict[tuple[int, int], FeatureVector] = {}
+    entries: dict[tuple[int, int], list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -141,11 +130,12 @@ def read_feature_table(path: str | Path) -> FeatureTable:
                 raise ValueError(f"{path}: malformed row at line {lineno}")
             try:
                 key = (int(row[0]), int(row[1]))
-                vec = FeatureVector.from_array([float(v) for v in row[2:]])
+                values = [float(v) for v in row[2:]]
             except ValueError:
                 raise ValueError(f"{path}: non-numeric field at line {lineno}") from None
             if key in entries:
                 raise ValueError(f"{path}: duplicate trip key {key} at line {lineno}")
-            entries[key] = vec
+            entries[key] = values
     keys = sorted(entries)
-    return FeatureTable(keys=keys, vectors=[entries[k] for k in keys])
+    matrix = np.array([entries[k] for k in keys], dtype=float).reshape(-1, 10)
+    return FeatureTable(keys=keys, matrix=matrix)

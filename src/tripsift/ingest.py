@@ -457,6 +457,25 @@ def write_trips(trips: Iterable[Trip], path: str | Path) -> None:
                 trip.hard_accel.tolist(), trip.hard_brake.tolist()))
 
 
+@contextmanager
+def removed_on_failure() -> Iterator[list[Path]]:
+    """Yield a list of output paths; on any exception, unlink every path in it and re-raise.
+
+    Append each path before opening it, so that a file cut short by the
+    failure is removed with the complete ones.
+    """
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                log.warning("could not remove partial output %s", path)
+        raise
+
+
 def write_network(network: RoadNetwork, nodes_path: str | Path, segments_path: str | Path) -> None:
     """Write a network to the node and segment CSV schemas, lengths included."""
     with open(nodes_path, "w", newline="") as fh:

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Union
 from .features import FeatureTable, extract_feature_table, write_feature_table
 from .forked import process_count
 from .iforest import IForestModel, save_model, threshold_from_contamination
-from .ingest import IngestReport, parse_road_network, parse_trips
+from .ingest import IngestReport, parse_road_network, parse_trips, removed_on_failure
 from .matching import MatchedTrip, MatchRejected, match_trip
 from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
@@ -203,17 +203,9 @@ def run_pipeline(
     workers = process_count(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
+    with removed_on_failure() as written:
         return _run(Path(nodes_path), Path(segments_path), Path(trips_path), out,
                     config, per_category, save_model_json, workers, written)
-    except BaseException:
-        for path in written:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                log.warning("could not remove partial output %s", path)
-        raise
 
 
 def _run(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .evaluate import read_driver_labels
 from .features import FEATURE_GROUPS, FeatureTable
 from .iforest import IForestModel, fit, score_vectors
 from .model import AnalysisConfig
@@ -70,7 +71,7 @@ def score_trips(
     """
     if len(table) < 2:
         raise ValueError("insufficient trips: need at least 2 to score")
-    X = table.to_matrix()
+    X = table.matrix
     if model is None:
         model = fit(X, n_trees=config.n_trees, subsample_size=config.subsample_size,
                     rng_seed=config.rng_seed, workers=workers)
@@ -171,29 +172,4 @@ def write_driver_report(reports: Sequence[DriverReport], path: str | Path) -> No
 
 def read_driver_classifications(path: str | Path) -> dict[int, bool]:
     """Driver id -> abnormal flag, from a driver report CSV."""
-    out: dict[int, bool] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        for name in ("driver_id", "classification"):
-            if name not in header:
-                raise ValueError(f"{path}: header missing column {name}")
-        id_col = header.index("driver_id")
-        cls_col = header.index("classification")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                driver_id = int(row[id_col])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row at line {lineno}") from None
-            label = row[cls_col].strip() if cls_col < len(row) else ""
-            if label not in ("normal", "abnormal"):
-                raise ValueError(f"{path}: unknown classification {label!r} at line {lineno}")
-            if driver_id in out:
-                raise ValueError(f"{path}: duplicate driver id {driver_id} at line {lineno}")
-            out[driver_id] = label == "abnormal"
-    return out
+    return read_driver_labels(path, "classification")

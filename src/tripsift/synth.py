@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .geo import EARTH_RADIUS_M, initial_bearing_deg, normalize_bearing_deg
-from .ingest import write_network, write_trips
+from .ingest import removed_on_failure, write_network, write_trips
 from .matching import build_spatial_index
 from .model import RoadNetwork, RoadNode, RoadSegment, Trip
 
@@ -107,7 +107,6 @@ class GridWorld:
     spec: SynthSpec
     network: RoadNetwork
     node_coords: dict[int, tuple[float, float]]
-    segment_by_pair: dict[tuple[int, int], int]   # (min node, max node) -> segment id
     bearing_by_edge: dict[tuple[int, int], float]  # directed (u, v) -> compass bearing
 
     def node_id(self, r: int, c: int) -> int:
@@ -188,16 +187,13 @@ def generate_network(spec: SynthSpec) -> RoadNetwork:
 def build_world(spec: SynthSpec) -> GridWorld:
     network = generate_network(spec)
     coords = {nid: (n.lat, n.lon) for nid, n in network.nodes.items()}
-    by_pair: dict[tuple[int, int], int] = {}
     bearings: dict[tuple[int, int], float] = {}
     for seg in network.segments.values():
         u, v = seg.from_node, seg.to_node
-        by_pair[(min(u, v), max(u, v))] = seg.segment_id
         (lat_u, lon_u), (lat_v, lon_v) = coords[u], coords[v]
         bearings[(u, v)] = initial_bearing_deg(lat_u, lon_u, lat_v, lon_v)
         bearings[(v, u)] = initial_bearing_deg(lat_v, lon_v, lat_u, lon_u)
-    return GridWorld(spec=spec, network=network, node_coords=coords,
-                     segment_by_pair=by_pair, bearing_by_edge=bearings)
+    return GridWorld(spec=spec, network=network, node_coords=coords, bearing_by_edge=bearings)
 
 
 def plan_route(world: GridWorld, origin: int, destination: int, rng: np.random.Generator) -> list[int]:
@@ -409,7 +405,8 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
 
     Files: nodes.csv, segments.csv, trips.csv, truth.csv (driver
     labels), truth_trips.csv (trip labels with anomaly kind). Output is
-    byte-identical for identical specs.
+    byte-identical for identical specs. On any failure the files
+    written so far are removed.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -460,19 +457,24 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
     truth_path = out / "truth.csv"
     trip_truth_path = out / "truth_trips.csv"
 
-    write_network(world.network, nodes_path, segments_path)
-    # each trip is written as it is generated, so none is held for the whole run
-    write_trips(trips(), trips_path)
-    with open(truth_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_COLUMNS)
-        for driver_id in driver_ids:
-            writer.writerow([driver_id, "abnormal" if driver_id in abnormal_set else "normal"])
-    with open(trip_truth_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIP_TRUTH_COLUMNS)
-        for driver_id, trip_id, kind in trip_truth:
-            writer.writerow([driver_id, trip_id, "abnormal" if kind else "normal", kind or ""])
+    with removed_on_failure() as written:
+        written += [nodes_path, segments_path]
+        write_network(world.network, nodes_path, segments_path)
+        written.append(trips_path)
+        # each trip is written as it is generated, so none is held for the whole run
+        write_trips(trips(), trips_path)
+        written.append(truth_path)
+        with open(truth_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRUTH_COLUMNS)
+            for driver_id in driver_ids:
+                writer.writerow([driver_id, "abnormal" if driver_id in abnormal_set else "normal"])
+        written.append(trip_truth_path)
+        with open(trip_truth_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRIP_TRUTH_COLUMNS)
+            for driver_id, trip_id, kind in trip_truth:
+                writer.writerow([driver_id, trip_id, "abnormal" if kind else "normal", kind or ""])
 
     return DatasetSummary(
         out_dir=out,

@@ -4,7 +4,8 @@ A matched trip becomes its Edge-Attributed Matrix, a TripGraph: one
 row per (segment_id, direction) key in order of first traversal,
 carrying averaged speed and direction, the segment length, hard-event
 totals, and traversal counts, plus the trip's length, net displacement,
-course resultant and traversal sequence. A traversal is a maximal
+course resultant and traversal sequence. The matrix is held as columns,
+one list per attribute with one entry per row. A traversal is a maximal
 consecutive run of points on the same directed edge; the sequence
 lists the row index of each traversal in time order.
 """
@@ -28,25 +29,24 @@ MATRIX_CSV_COLUMNS = [
 
 
 @dataclass
-class EdgeAttributeRow:
-    segment_id: int
-    direction: int
-    avg_speed_mps: float
-    avg_direction_deg: float
-    length_m: float
-    n_hard_brakes: int
-    n_hard_accels: int
-    n_traversals: int
-    n_points: int
-
-
-@dataclass
 class TripGraph:
-    """One trip's Edge-Attributed Matrix and its trip-wide statistics."""
+    """One trip's Edge-Attributed Matrix, column by column, and its trip-wide statistics.
+
+    The matrix columns are the lists from segment_id to n_points, one entry
+    per row, rows in order of first traversal.
+    """
 
     driver_id: int
     trip_id: int
-    rows: list[EdgeAttributeRow]        # in order of first traversal
+    segment_id: list[int]
+    direction: list[int]
+    avg_speed_mps: list[float]
+    avg_direction_deg: list[float]
+    length_m: list[float]
+    n_hard_brakes: list[int]
+    n_hard_accels: list[int]
+    n_traversals: list[int]
+    n_points: list[int]
     trip_length_m: float
     net_displacement_m: float
     traversal_sequence: list[int]       # row index of each maximal run, in time order
@@ -101,54 +101,50 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
 
     point_cogs = trip.cog_deg[kept].tolist()
     index: dict[tuple[int, int], int] = {}
-    rows: list[EdgeAttributeRow] = []
     speed_sums: list[float] = []
     cogs: list[list[float]] = []
+    brakes: list[int] = []
+    accels: list[int] = []
     sequence: list[int] = []
     for key, speed, cog, brake, accel in zip(
             zip(matched.segment_id.tolist(), matched.direction.tolist()),
             trip.speed_mps[kept].tolist(), point_cogs,
             trip.hard_brake[kept].tolist(), trip.hard_accel[kept].tolist()):
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(rows)
-            rows.append(EdgeAttributeRow(
-                segment_id=key[0],
-                direction=key[1],
-                avg_speed_mps=0.0,          # set from speed_sums below
-                avg_direction_deg=0.0,      # set from cogs below
-                length_m=network.segments[key[0]].length_m,
-                n_hard_brakes=0,
-                n_hard_accels=0,
-                n_traversals=0,
-                n_points=0,
-            ))
+        i = index.setdefault(key, len(index))
+        if i == len(cogs):
             speed_sums.append(0.0)
             cogs.append([])
-        row = rows[i]
+            brakes.append(0)
+            accels.append(0)
         speed_sums[i] += speed
         cogs[i].append(cog)
-        row.n_hard_brakes += brake
-        row.n_hard_accels += accel
-        row.n_points += 1
+        brakes[i] += brake
+        accels[i] += accel
         if not sequence or sequence[-1] != i:
-            row.n_traversals += 1
             sequence.append(i)
 
-    for row, speed_sum, row_cogs in zip(rows, speed_sums, cogs):
-        row.avg_speed_mps = speed_sum / row.n_points
-        row.avg_direction_deg = circular_mean_deg(row_cogs)
-
+    length_m = [network.segments[segment].length_m for segment, _ in index]
+    n_traversals = [0] * len(index)
     trip_length = 0.0
     for i in sequence:
-        trip_length += rows[i].length_m
+        n_traversals[i] += 1
+        trip_length += length_m[i]
 
+    n_points = [len(row_cogs) for row_cogs in cogs]
     first = matched.first_snap
     last = matched.last_snap
     return TripGraph(
         driver_id=trip.driver_id,
         trip_id=trip.trip_id,
-        rows=rows,
+        segment_id=[segment for segment, _ in index],
+        direction=[direction for _, direction in index],
+        avg_speed_mps=[s / n for s, n in zip(speed_sums, n_points)],
+        avg_direction_deg=[circular_mean_deg(row_cogs) for row_cogs in cogs],
+        length_m=length_m,
+        n_hard_brakes=brakes,
+        n_hard_accels=accels,
+        n_traversals=n_traversals,
+        n_points=n_points,
         trip_length_m=trip_length,
         net_displacement_m=haversine_m(first.lat, first.lon, last.lat, last.lon),
         traversal_sequence=sequence,
@@ -174,9 +170,7 @@ def write_matrix_csv(graph: TripGraph, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MATRIX_CSV_COLUMNS)
-        for row in graph.rows:
-            writer.writerow([
-                row.segment_id, row.direction,
-                repr(row.avg_speed_mps), repr(row.avg_direction_deg), repr(row.length_m),
-                row.n_hard_brakes, row.n_hard_accels, row.n_traversals, row.n_points,
-            ])
+        writer.writerows(zip(
+            graph.segment_id, graph.direction, graph.avg_speed_mps, graph.avg_direction_deg,
+            graph.length_m, graph.n_hard_brakes, graph.n_hard_accels, graph.n_traversals,
+            graph.n_points))

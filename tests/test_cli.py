@@ -116,6 +116,15 @@ def test_unexpected_failure_exit_code(tmp_path, monkeypatch):
     assert main(["generate", "--out", str(tmp_path / "d")] + GEN_ARGS) == 1
 
 
+def test_generate_removes_partial_outputs_on_failure(tmp_path):
+    data = tmp_path / "data"
+    (data / "truth.csv").mkdir(parents=True)    # makes the fourth write fail
+    assert main(["generate", "--out", str(data), "--drivers", "3",
+                 "--trips-per-driver", "2"]) == 2
+    assert sorted(p.name for p in data.iterdir()) == ["manifest.json", "truth.csv"]
+    assert json.loads((data / "manifest.json").read_text())["outcome"] == "error"
+
+
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("# grid size\nrows = 6\ncols = 3\nseed = 5\n")

@@ -7,30 +7,37 @@ from tripsift.features import (
     FEATURE_GROUPS,
     FEATURE_NAMES,
     FEATURE_TABLE_COLUMNS,
+    FeatureTable,
     FeatureVector,
     extract_feature_table,
     extract_features,
     read_feature_table,
     write_feature_table,
 )
-from tripsift.tripgraph import EdgeAttributeRow, TripGraph
+from tripsift.tripgraph import TripGraph
+
+MATRIX_FIELDS = ("segment_id", "direction", "avg_speed_mps", "avg_direction_deg", "length_m",
+                 "n_hard_brakes", "n_hard_accels", "n_traversals", "n_points")
 
 
 def row(seg, direction=1, speed=10.0, avg_dir=90.0, length=500.0,
         brakes=0, accels=0, traversals=1, points=5):
-    return EdgeAttributeRow(seg, direction, speed, avg_dir, length,
-                            brakes, accels, traversals, points)
+    return (seg, direction, speed, avg_dir, length, brakes, accels, traversals, points)
 
 
 def make_graph(rows, seq=None, length=None, displacement=None,
                resultant=1.0, driver=1, trip=1):
+    """A trip graph whose matrix columns are the transposed rows."""
+    columns = {name: list(column) for name, column in zip(MATRIX_FIELDS, zip(*rows))}
     if seq is None:
         seq = range(len(rows))
     if length is None:
-        length = sum(r.length_m * r.n_traversals for r in rows)
+        length = sum(m * n for m, n in zip(columns["length_m"], columns["n_traversals"]))
     if displacement is None:
         displacement = length
-    return TripGraph(driver, trip, list(rows), length, displacement, list(seq), resultant)
+    return TripGraph(driver_id=driver, trip_id=trip, **columns, trip_length_m=length,
+                     net_displacement_m=displacement, traversal_sequence=list(seq),
+                     cog_resultant=resultant)
 
 
 def test_feature_names_and_groups_consistent():
@@ -112,13 +119,18 @@ def test_degenerate_trip_raises():
         extract_features(g)
 
 
-def test_vector_array_roundtrip():
-    vec = FeatureVector(*[float(i) for i in range(10)])
-    arr = vec.to_array()
-    assert arr.shape == (10,)
-    assert FeatureVector.from_array(arr) == vec
-    with pytest.raises(ValueError, match="expected 10"):
-        FeatureVector.from_array([1.0, 2.0])
+def test_matrix_csv_roundtrip(tmp_path):
+    awkward = [1 / 3, 0.1, 1e-300, 2.0 ** 60, -0.0, 7.25, 0.0, 1e300, 5e-324, 12.345678901234567]
+    vectors = [FeatureVector(*[float(i) for i in range(10)]), FeatureVector(*awkward)]
+    table = FeatureTable(keys=[(1, 1), (2, 1)], matrix=np.array(vectors))
+    assert table.matrix.shape == (2, 10)
+    assert table.matrix[1, FEATURE_NAMES.index("turn_density")] == 2.0 ** 60
+    path = tmp_path / "features.csv"
+    write_feature_table(table, path)
+    again = read_feature_table(path)
+    assert again.keys == table.keys
+    assert again.matrix.shape == (2, 10)
+    assert again.matrix.tobytes() == table.matrix.tobytes()  # bit for bit, -0.0 included
 
 
 def test_extract_table_sorted_and_duplicates():
@@ -127,7 +139,7 @@ def test_extract_table_sorted_and_duplicates():
     g3 = make_graph([row(1)], driver=1, trip=1)
     table = extract_feature_table([g1, g2, g3])
     assert table.keys == [(1, 1), (1, 2), (2, 1)]
-    assert table.to_matrix().shape == (3, 10)
+    assert table.matrix.shape == (3, 10)
     with pytest.raises(ValueError, match="duplicate"):
         extract_feature_table([g1, g1])
 
@@ -141,7 +153,7 @@ def test_table_csv_roundtrip(tmp_path):
     write_feature_table(table, path)
     again = read_feature_table(path)
     assert again.keys == table.keys
-    assert np.array_equal(again.to_matrix(), table.to_matrix())
+    assert np.array_equal(again.matrix, table.matrix)
 
 
 def test_read_table_errors(tmp_path):

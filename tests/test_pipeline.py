@@ -1,5 +1,6 @@
 """End-to-end pipeline runs on a small generated dataset."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tripsift
+from tripsift.features import FEATURE_NAMES
 from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
@@ -23,6 +25,22 @@ CONFIG = AnalysisConfig(alpha=0.0)
 def run(dataset, out, config=CONFIG, **kwargs):
     return run_pipeline(dataset.nodes_path, dataset.segments_path,
                         dataset.trips_path, out, config, **kwargs)
+
+
+# sha256 of the data outputs on the small dataset; any change to these bytes
+# must be deliberate and recorded
+SMALL_OUTPUT_DIGESTS = {
+    "features": "61d968df30134ba3ef55524f3f6da1dba74f1375d4347b52e047bf895f083ac6",
+    "trip_scores": "2fbdad02745b5df7b97083e46c98a15ac63216f95bfaaff3fa0c52b2078c81bb",
+    "driver_report": "dd42d020a5922625fbd5ffc7b5d64e82a29fe3612cd123aca07442ea06c9bb51",
+    "model": "b5de6a73ae7f360e100816e4f40d8e42adbb1011140cf211851076763ba1a57b",
+}
+
+
+def test_pipeline_output_bytes_are_pinned(small_dataset, tmp_path):
+    result = run(small_dataset, tmp_path / "run", save_model_json=True)
+    assert {name: hashlib.sha256(result.outputs[name].read_bytes()).hexdigest()
+            for name in SMALL_OUTPUT_DIGESTS} == SMALL_OUTPUT_DIGESTS
 
 
 def test_end_to_end_outputs(small_dataset, tmp_path):
@@ -163,7 +181,8 @@ def test_events_derived_when_columns_missing(small_dataset, tmp_path):
                           bare, tmp_path / "out", CONFIG)
     assert result.counts["trips_scored"] == small_dataset.n_trips
     # speed steps planted by the generator are recovered as hard events
-    assert any(v.brakes_per_km > 0 or v.accels_per_km > 0 for v in result.table.vectors)
+    events = [FEATURE_NAMES.index("brakes_per_km"), FEATURE_NAMES.index("accels_per_km")]
+    assert (result.table.matrix[:, events] > 0).any()
 
 
 def test_stage_peak_rss_counts_worker_processes():

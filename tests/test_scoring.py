@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from tripsift.features import FEATURE_GROUPS, FeatureTable, FeatureVector
+from tripsift.features import FEATURE_GROUPS, FeatureTable
 from tripsift.iforest import score_vectors
 from tripsift.model import AnalysisConfig
 from tripsift.scoring import (
@@ -31,8 +31,8 @@ def make_table(n_drivers=6, trips_each=4, seed=0, outlier_driver=None):
             if d == outlier_driver:
                 vec = vec + 25.0
             keys.append((d, t))
-            vectors.append(FeatureVector.from_array(vec))
-    return FeatureTable(keys=keys, vectors=vectors)
+            vectors.append(vec)
+    return FeatureTable(keys=keys, matrix=np.array(vectors))
 
 
 CONFIG = AnalysisConfig(alpha=0.0, n_trees=50, subsample_size=64)
@@ -43,7 +43,7 @@ def test_score_trips_order_and_model():
     scores, model = score_trips(table, CONFIG)
     assert [(s.driver_id, s.trip_id) for s in scores] == table.keys
     assert model.n_features == 10
-    expected = score_vectors(model, table.to_matrix())
+    expected = score_vectors(model, table.matrix)
     assert [s.score for s in scores] == list(expected)
     for s in scores:
         assert s.abnormal == (s.score >= CONFIG.trip_score_threshold)

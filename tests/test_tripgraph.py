@@ -127,7 +127,7 @@ def test_build_graph_rows_in_first_traversal_order(two_segment_network):
         mp(11, 1, 0), mp(11, 1, 1), mp(10, -1, 2), mp(10, -1, 3),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    keys = [(r.segment_id, r.direction) for r in graph.rows]
+    keys = list(zip(graph.segment_id, graph.direction))
     assert keys == [(11, 1), (10, -1)]
     assert graph.traversal_sequence == [0, 1]
 
@@ -139,12 +139,11 @@ def test_build_graph_aggregates(two_segment_network):
         mp(11, 1, 2, speed=20.0, cog=90.0),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    row = graph.rows[0]
-    assert row.avg_speed_mps == pytest.approx(10.0)
-    assert row.avg_direction_deg == pytest.approx(0.0, abs=1e-9)
-    assert row.n_hard_brakes == 1 and row.n_hard_accels == 1
-    assert row.n_points == 2 and row.n_traversals == 1
-    assert graph.rows[1].n_points == 1
+    assert graph.avg_speed_mps[0] == pytest.approx(10.0)
+    assert graph.avg_direction_deg[0] == pytest.approx(0.0, abs=1e-9)
+    assert graph.n_hard_brakes[0] == 1 and graph.n_hard_accels[0] == 1
+    assert graph.n_points[0] == 2 and graph.n_traversals[0] == 1
+    assert graph.n_points[1] == 1
 
 
 def test_build_graph_same_segment_opposite_directions_are_two_rows(two_segment_network):
@@ -152,7 +151,7 @@ def test_build_graph_same_segment_opposite_directions_are_two_rows(two_segment_n
         mp(10, 1, 0), mp(10, 1, 1), mp(10, -1, 2),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    keys = [(r.segment_id, r.direction) for r in graph.rows]
+    keys = list(zip(graph.segment_id, graph.direction))
     assert keys == [(10, 1), (10, -1)]
 
 
@@ -161,11 +160,11 @@ def test_build_graph_revisit_counts_two_traversals(two_segment_network):
         mp(10, 1, 0), mp(11, 1, 1), mp(10, 1, 2), mp(10, 1, 3),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    keys = [(r.segment_id, r.direction) for r in graph.rows]
+    keys = list(zip(graph.segment_id, graph.direction))
     assert [keys[i] for i in graph.traversal_sequence] == [(10, 1), (11, 1), (10, 1)]
-    row10 = graph.rows[keys.index((10, 1))]
-    assert row10.n_traversals == 2
-    assert row10.n_points == 3
+    row10 = keys.index((10, 1))
+    assert graph.n_traversals[row10] == 2
+    assert graph.n_points[row10] == 3
     # revisit adds the segment length a second time
     seg10 = two_segment_network.segments[10].length_m
     seg11 = two_segment_network.segments[11].length_m
@@ -273,20 +272,23 @@ def square_trips(draw):
 @given(square_trips())
 def test_random_trip_graph_invariants(matched):
     graph = build_trip_graph(matched, SQUARE)
-    rows, seq = graph.rows, graph.traversal_sequence
-    keys = [(r.segment_id, r.direction) for r in rows]
+    seq = graph.traversal_sequence
+    keys = list(zip(graph.segment_id, graph.direction))
     edges = list(zip(matched.segment_id.tolist(), matched.direction.tolist()))
     assert keys == list(dict.fromkeys(edges))
-    assert sum(r.n_points for r in rows) == len(matched.kept)
-    assert sum(r.n_traversals for r in rows) == len(seq)
+    columns = (graph.avg_speed_mps, graph.avg_direction_deg, graph.length_m, graph.n_hard_brakes,
+               graph.n_hard_accels, graph.n_traversals, graph.n_points)
+    assert all(len(column) == len(keys) for column in columns)
+    assert sum(graph.n_points) == len(matched.kept)
+    assert sum(graph.n_traversals) == len(seq)
     assert all(a != b for a, b in zip(seq, seq[1:]))
     runs = [key for i, key in enumerate(edges) if i == 0 or key != edges[i - 1]]
     assert [keys[i] for i in seq] == runs
     assert graph.trip_length_m == pytest.approx(
-        sum(SQUARE.segments[rows[i].segment_id].length_m for i in seq), rel=1e-12)
+        sum(SQUARE.segments[graph.segment_id[i]].length_m for i in seq), rel=1e-12)
 
     f = extract_features(graph)
-    assert all(math.isfinite(v) for v in f.to_array())
+    assert all(math.isfinite(v) for v in f)
     assert 0.0 <= f.displacement_ratio <= 1.0
     assert f.repetition_ratio >= 1.0
     assert 0.0 <= f.revisited_edge_fraction <= 1.0
