@@ -16,7 +16,6 @@ pipeline, 4 evaluation mismatch, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import inspect
 import json
@@ -33,6 +32,7 @@ from . import __version__
 from .evaluate import DriverSetMismatch, confusion, metrics, read_truth, write_metrics_json
 from .features import read_feature_table
 from .iforest import load_model
+from .ingest import removed_on_failure, write_csv
 from .matching import MatchRejected
 from .model import AnalysisConfig
 from .pipeline import (EmptyPipelineError, StageLog, ingest_inputs, match_all, run_pipeline,
@@ -48,6 +48,8 @@ EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_EMPTY = 3
 EXIT_MISMATCH = 4
+
+MATCHED_TRIP_COLUMNS = ["driver_id", "trip_id", "n_points", "n_matched", "matched_fraction", "status"]
 
 # option name -> (parameter it sets, type, default); shared by flags and config files
 Option = tuple[str, type, Any]
@@ -298,7 +300,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     config = build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals)
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "match", vals,
-                         [nodes_path, segments_path, trips_path]) as manifest:
+                         [nodes_path, segments_path, trips_path]) as manifest, \
+            removed_on_failure() as written:
         stages = StageLog()
         manifest.stages = stages.seconds
         network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
@@ -306,22 +309,20 @@ def cmd_match(args: argparse.Namespace) -> int:
         results = match_all(trips, network, config, stages)
         matrices_dir = out / "matrices"
         matrices_dir.mkdir(exist_ok=True)
-        n_matched = 0
-        with open(out / "matched_trips.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["driver_id", "trip_id", "n_points", "n_matched",
-                             "matched_fraction", "status"])
-            for trip, matched in zip(trips, results):
-                if isinstance(matched, MatchRejected):
-                    writer.writerow([trip.driver_id, trip.trip_id, len(trip),
-                                     matched.n_matched, f"{matched.matched_fraction:.4f}",
-                                     matched.reason])
-                    continue
-                graph = build_trip_graph(matched, network)
-                write_matrix_csv(graph, matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv")
-                writer.writerow([trip.driver_id, trip.trip_id, len(trip),
-                                 len(matched.kept), f"{matched.matched_fraction:.4f}", "matched"])
-                n_matched += 1
+        rows = []
+        for trip, matched in zip(trips, results):
+            if isinstance(matched, MatchRejected):
+                n_kept, status = matched.n_matched, matched.reason
+            else:
+                n_kept, status = len(matched.kept), "matched"
+                matrix_path = matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv"
+                written.append(matrix_path)
+                write_matrix_csv(build_trip_graph(matched, network), matrix_path)
+            rows.append([trip.driver_id, trip.trip_id, len(trip), n_kept,
+                         f"{matched.matched_fraction:.4f}", status])
+        n_matched = sum(not isinstance(matched, MatchRejected) for matched in results)
+        written.append(out / "matched_trips.csv")
+        write_csv(out / "matched_trips.csv", MATCHED_TRIP_COLUMNS, rows)
         manifest.counts = {"trips": len(trips), "matched": n_matched,
                            **{f"points_{k}": v for k, v in report.rejection_reasons.items()}}
         log.info("matched %d of %d trips; matrices in %s", n_matched, len(trips), matrices_dir)
@@ -336,12 +337,13 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ValueError("--per-category requires fitting and cannot be used with --model")
     out.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.features)] + ([Path(args.model)] if args.model else [])
-    with _ManifestWriter(out / "manifest.json", "score", vals, inputs) as manifest:
+    with _ManifestWriter(out / "manifest.json", "score", vals, inputs) as manifest, \
+            removed_on_failure() as written:
         stages = StageLog()
         manifest.stages = stages.seconds
         table = read_feature_table(args.features)
         trip_scores, reports, _, _ = score_and_write(
-            table, config, out, [], stages,
+            table, config, out, written, stages,
             per_category=vals["per_category"],
             model=load_model(args.model) if args.model else None,
             save_model_json=vals["save_model"])

@@ -8,11 +8,12 @@ positive in truth, F1 is 0 when precision + recall is 0.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
+
+from .ingest import read_csv
 
 
 class DriverSetMismatch(ValueError):
@@ -95,25 +96,14 @@ def read_truth(path: str | Path) -> dict[int, bool]:
 def read_driver_labels(path: str | Path, column: str) -> dict[int, bool]:
     """Driver id -> abnormal flag, from a CSV with driver_id and a normal/abnormal column."""
     out: dict[int, bool] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        for name in ("driver_id", column):
-            if name not in header:
-                raise ValueError(f"{path}: header missing column {name}")
-        id_col = header.index("driver_id")
-        label_col = header.index(column)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with read_csv(path, ["driver_id", column]) as (header, records):
+        id_col, label_col = header.index("driver_id"), header.index(column)
+        for lineno, row in records:
             try:
                 driver_id = int(row[id_col])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise ValueError(f"{path}: malformed row at line {lineno}") from None
-            label = row[label_col].strip() if label_col < len(row) else ""
+            label = row[label_col].strip()
             if label not in ("normal", "abnormal"):
                 raise ValueError(f"{path}: unknown {column} {label!r} at line {lineno}")
             if driver_id in out:

@@ -9,7 +9,6 @@ trips as one (N, 10) matrix, the form the forest reads.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -17,6 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geo import circular_diff_deg
+from .ingest import read_csv, write_csv
 from .tripgraph import TripGraph
 
 # dimension indices (0-based) per group; order matters for seeding
@@ -105,27 +105,18 @@ def extract_feature_table(graphs: Sequence[TripGraph]) -> FeatureTable:
 
 
 def write_feature_table(table: FeatureTable, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_TABLE_COLUMNS)
-        for (driver_id, trip_id), values in zip(table.keys, table.matrix.tolist()):
-            writer.writerow([driver_id, trip_id] + [repr(v) for v in values])
+    write_csv(path, FEATURE_TABLE_COLUMNS,
+              ([driver_id, trip_id] + [repr(v) for v in values]
+               for (driver_id, trip_id), values in zip(table.keys, table.matrix.tolist())))
 
 
 def read_feature_table(path: str | Path) -> FeatureTable:
     """Read a feature table CSV; rows are re-sorted by (driver_id, trip_id)."""
     entries: dict[tuple[int, int], list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+    with read_csv(path, []) as (header, records):
         if header != FEATURE_TABLE_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(FEATURE_TABLE_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in records:
             if len(row) != len(FEATURE_TABLE_COLUMNS):
                 raise ValueError(f"{path}: malformed row at line {lineno}")
             try:

@@ -1,10 +1,11 @@
-"""CSV readers and writers for road networks and GPS trajectories.
+"""The CSV format, which read_csv and write_csv keep for every other
+module, and the road-network and GPS-trajectory schemas.
 
 Network files are authoritative infrastructure: any structural problem
-raises with a 1-based line number. Trajectory files are field data:
-they are read a block of rows at a time into numpy columns, each bad
-row is rejected with a reason code and tallied in the ingest report,
-and the accepted points become columnar trips.
+raises, naming the file and, where known, the 1-based line. Trajectory
+files are field data, read by their own block reader a block of rows at
+a time into numpy columns; each bad row, one csv cannot parse or decode
+too, is rejected with a reason code and tallied in the ingest report.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -57,7 +58,10 @@ class IngestReport:
 
 def _header(path: str | Path, reader: Iterator[list[str]], required: Sequence[str]) -> list[str]:
     """The reader's first record, checked to name every required column."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty file, expected header {','.join(required)}")
     missing = [c for c in required if c not in header]
@@ -67,11 +71,42 @@ def _header(path: str | Path, reader: Iterator[list[str]], required: Sequence[st
 
 
 @contextmanager
-def _read_rows(path: str | Path, required: Sequence[str]) -> Iterator[tuple[list[str], Iterable]]:
-    """Open a headered CSV, check its header, and yield (header, row reader); closes on exit."""
+def read_csv(path: str | Path, required: Sequence[str]
+             ) -> Iterator[tuple[list[str], Iterator[tuple[int, list[str]]]]]:
+    """Open a headered CSV, check that its header names every required
+    column, and yield (header, records): (1-based line number, fields)
+    for each non-blank record. Closes the file on exit.
+
+    Raises ValueError naming the file for an empty file, missing columns,
+    a record shorter than the header or one csv cannot parse (with the
+    line), or bytes that do not decode (decoded in chunks, so no line).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        yield _header(path, reader, required), reader
+        try:
+            header = _header(path, reader, required)
+            yield header, _records(path, reader, len(header))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _records(path: str | Path, reader: Iterable[list[str]], width: int) -> Iterator[tuple[int, list[str]]]:
+    for lineno, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        if len(fields) < width:
+            raise ValueError(f"{path}: malformed row at line {lineno}")
+        yield lineno, fields
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a header row and then every row of rows to a CSV file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def parse_road_network(nodes_path: str | Path, segments_path: str | Path) -> RoadNetwork:
@@ -86,13 +121,9 @@ def parse_road_network(nodes_path: str | Path, segments_path: str | Path) -> Roa
             ids, dangling endpoints, degenerate segments, empty network.
     """
     nodes: dict[int, RoadNode] = {}
-    with _read_rows(nodes_path, NODE_COLUMNS) as (header, reader):
+    with read_csv(nodes_path, NODE_COLUMNS) as (header, records):
         col = {name: header.index(name) for name in NODE_COLUMNS}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ValueError(f"{nodes_path}: malformed row at line {lineno}")
+        for lineno, row in records:
             try:
                 node_id = int(row[col["node_id"]])
                 lat = float(row[col["lat"]])
@@ -108,14 +139,10 @@ def parse_road_network(nodes_path: str | Path, segments_path: str | Path) -> Roa
             nodes[node_id] = RoadNode(node_id, lat, lon)
 
     segments: dict[int, RoadSegment] = {}
-    with _read_rows(segments_path, SEGMENT_COLUMNS) as (header, reader):
+    with read_csv(segments_path, SEGMENT_COLUMNS) as (header, records):
         col = {name: header.index(name) for name in SEGMENT_COLUMNS}
         length_col = header.index("length_m") if "length_m" in header else None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ValueError(f"{segments_path}: malformed row at line {lineno}")
+        for lineno, row in records:
             try:
                 seg_id = int(row[col["segment_id"]])
                 from_node = int(row[col["from_node"]])
@@ -135,7 +162,7 @@ def parse_road_network(nodes_path: str | Path, segments_path: str | Path) -> Roa
             chord = haversine_m(a.lat, a.lon, b.lat, b.lon)
             if chord <= 0.0:
                 raise ValueError(f"{segments_path}: segment {seg_id} has zero-length geometry at line {lineno}")
-            if length_col is not None and length_col < len(row) and row[length_col].strip():
+            if length_col is not None and row[length_col].strip():
                 try:
                     length = float(row[length_col])
                 except ValueError:
@@ -211,6 +238,17 @@ def _check_rows(rows: list[list[str]], fields: list[tuple[str, int, type]]
     return code, values
 
 
+def _parsed(reader: Iterator[list[str]], width: int) -> Iterator[list[str]]:
+    """The reader's records, with one csv cannot parse (a field over its size
+    limit) as width empty fields, which are non_numeric. csv resumes next line."""
+    while True:
+        try:
+            yield from reader
+            return
+        except csv.Error:
+            yield [""] * width
+
+
 def _read_columns(reader: Iterable[list[str]], fields: list[tuple[str, int, type]], width: int
                   ) -> tuple[list[np.ndarray], dict[str, list[np.ndarray]], list[np.ndarray], list[int]]:
     """Read every row, BLOCK_ROWS at a time. Returns, per block, the reason
@@ -272,13 +310,14 @@ class _Window(io.RawIOBase):
 
 def _open_text(path: str | Path, start: int = 0, stop: Optional[int] = None) -> io.TextIOWrapper:
     """Bytes [start, stop) of a file (to its end when stop is None), decoded
-    as open(path, newline="") decodes the whole file."""
+    as open(path, newline="") decodes the whole file, except that bytes the
+    encoding cannot decode become U+FFFD, which no number parses."""
     raw = open(path, "rb", buffering=0)
     try:
         if start:
             raw.seek(start)
         return io.TextIOWrapper(io.BufferedReader(raw if stop is None else _Window(raw, stop - start)),
-                                newline="")
+                                newline="", errors="replace")
     except BaseException:
         raw.close()
         raise
@@ -339,7 +378,7 @@ def _read_part(path: str | Path, start: int, stop: Optional[int]
         fields = [(name, header.index(name), float if name in FLOAT_COLUMNS else int)
                   for name in ["driver_id", "trip_id", *TRIP_COLUMNS]
                   if has_events or name not in EVENT_COLUMNS]
-        return has_events, *_read_columns(reader, fields, len(header))
+        return has_events, *_read_columns(_parsed(reader, len(header)), fields, len(header))
 
 
 def _join_parts(parts: list[tuple]) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray, list[int]]:
@@ -376,7 +415,8 @@ def parse_trips(path: str | Path, workers: int = 1) -> tuple[list[Trip], IngestR
 
     Rows are read and converted BLOCK_ROWS at a time, with Python's int
     and float, so a field is numeric exactly when those accept it;
-    integer fields must also fit int64. Each row gets the first reason
+    integer fields must also fit int64; an unparsable record or undecodable
+    bytes are not numeric either. Each row gets the first reason
     code that applies, checked in this order: bad_field_count (fewer
     fields than the header), non_numeric, lat_out_of_range,
     lon_out_of_range, speed_out_of_range, direction_out_of_range,
@@ -443,18 +483,14 @@ def parse_trips(path: str | Path, workers: int = 1) -> tuple[list[Trip], IngestR
 
 def write_trips(trips: Iterable[Trip], path: str | Path) -> None:
     """Write trips to the trajectory CSV schema, event columns included."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS + EVENT_COLUMNS)
-        for trip in trips:
-            n = len(trip)
-            # tolist gives Python ints and floats, whose repr the schema uses
-            writer.writerows(zip(
-                repeat(trip.driver_id, n), repeat(trip.trip_id, n),
-                trip.point_id.tolist(), trip.timestamp.tolist(),
-                map(repr, trip.lat.tolist()), map(repr, trip.lon.tolist()),
-                map(repr, trip.speed_mps.tolist()), map(repr, trip.cog_deg.tolist()),
-                trip.hard_accel.tolist(), trip.hard_brake.tolist()))
+    # tolist gives Python ints and floats, whose repr the schema uses
+    write_csv(path, TRAJECTORY_COLUMNS + EVENT_COLUMNS, chain.from_iterable(
+        zip(repeat(trip.driver_id, len(trip)), repeat(trip.trip_id, len(trip)),
+            trip.point_id.tolist(), trip.timestamp.tolist(),
+            map(repr, trip.lat.tolist()), map(repr, trip.lon.tolist()),
+            map(repr, trip.speed_mps.tolist()), map(repr, trip.cog_deg.tolist()),
+            trip.hard_accel.tolist(), trip.hard_brake.tolist())
+        for trip in trips))
 
 
 @contextmanager
@@ -462,13 +498,16 @@ def removed_on_failure() -> Iterator[list[Path]]:
     """Yield a list of output paths; on any exception, unlink every path in it and re-raise.
 
     Append each path before opening it, so that a file cut short by the
-    failure is removed with the complete ones.
+    failure is removed with the complete ones. A directory is skipped: it
+    blocked its write and was never an output.
     """
     written: list[Path] = []
     try:
         yield written
     except BaseException:
         for path in written:
+            if path.is_dir():
+                continue
             try:
                 path.unlink(missing_ok=True)
             except OSError:
@@ -478,15 +517,8 @@ def removed_on_failure() -> Iterator[list[Path]]:
 
 def write_network(network: RoadNetwork, nodes_path: str | Path, segments_path: str | Path) -> None:
     """Write a network to the node and segment CSV schemas, lengths included."""
-    with open(nodes_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NODE_COLUMNS)
-        for node_id in sorted(network.nodes):
-            node = network.nodes[node_id]
-            writer.writerow([node.node_id, repr(node.lat), repr(node.lon)])
-    with open(segments_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEGMENT_COLUMNS + ["length_m"])
-        for seg_id in sorted(network.segments):
-            seg = network.segments[seg_id]
-            writer.writerow([seg.segment_id, seg.from_node, seg.to_node, repr(seg.length_m)])
+    write_csv(nodes_path, NODE_COLUMNS, ([node.node_id, repr(node.lat), repr(node.lon)]
+                                         for _, node in sorted(network.nodes.items())))
+    write_csv(segments_path, SEGMENT_COLUMNS + ["length_m"],
+              ([seg.segment_id, seg.from_node, seg.to_node, repr(seg.length_m)]
+               for _, seg in sorted(network.segments.items())))

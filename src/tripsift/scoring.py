@@ -9,7 +9,6 @@ abnormal.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Optional, Sequence
 from .evaluate import read_driver_labels
 from .features import FEATURE_GROUPS, FeatureTable
 from .iforest import IForestModel, fit, score_vectors
+from .ingest import write_csv
 from .model import AnalysisConfig
 
 CATEGORY_COLUMNS = {
@@ -145,29 +145,21 @@ def write_trip_scores(trip_scores: Sequence[TripScore], path: str | Path) -> Non
     """Trip-level CSV; category columns appear when per-category scores exist."""
     with_cats = bool(trip_scores) and trip_scores[0].category_scores is not None
     header = TRIP_CSV_COLUMNS + ([CATEGORY_COLUMNS[g] for g in FEATURE_GROUPS] if with_cats else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ts in trip_scores:
-            row = [ts.driver_id, ts.trip_id, f"{ts.score:.6f}", _label(ts.abnormal)]
-            if with_cats:
-                row += [f"{ts.category_scores[g]:.6f}" for g in FEATURE_GROUPS]
-            writer.writerow(row)
+    write_csv(path, header, (
+        [ts.driver_id, ts.trip_id, f"{ts.score:.6f}", _label(ts.abnormal)]
+        + ([f"{ts.category_scores[g]:.6f}" for g in FEATURE_GROUPS] if with_cats else [])
+        for ts in trip_scores))
 
 
 def write_driver_report(reports: Sequence[DriverReport], path: str | Path) -> None:
     """Driver-level CSV in rank order."""
     with_cats = bool(reports) and reports[0].category_means is not None
     header = DRIVER_CSV_COLUMNS + ([CATEGORY_COLUMNS[g] for g in FEATURE_GROUPS] if with_cats else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in reports:
-            row = [r.driver_id, f"{r.mean_score:.6f}", r.n_trips, r.n_abnormal_trips,
-                   r.rank, _label(r.abnormal)]
-            if with_cats:
-                row += [f"{r.category_means[g]:.6f}" for g in FEATURE_GROUPS]
-            writer.writerow(row)
+    write_csv(path, header, (
+        [r.driver_id, f"{r.mean_score:.6f}", r.n_trips, r.n_abnormal_trips, r.rank,
+         _label(r.abnormal)]
+        + ([f"{r.category_means[g]:.6f}" for g in FEATURE_GROUPS] if with_cats else [])
+        for r in reports))
 
 
 def read_driver_classifications(path: str | Path) -> dict[int, bool]:

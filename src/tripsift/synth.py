@@ -13,7 +13,6 @@ given spec.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .geo import EARTH_RADIUS_M, initial_bearing_deg, normalize_bearing_deg
-from .ingest import removed_on_failure, write_network, write_trips
+from .ingest import removed_on_failure, write_csv, write_network, write_trips
 from .matching import build_spatial_index
 from .model import RoadNetwork, RoadNode, RoadSegment, Trip
 
@@ -464,17 +463,13 @@ def generate_dataset(spec: SynthSpec, out_dir: str | Path) -> DatasetSummary:
         # each trip is written as it is generated, so none is held for the whole run
         write_trips(trips(), trips_path)
         written.append(truth_path)
-        with open(truth_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRUTH_COLUMNS)
-            for driver_id in driver_ids:
-                writer.writerow([driver_id, "abnormal" if driver_id in abnormal_set else "normal"])
+        write_csv(truth_path, TRUTH_COLUMNS,
+                  ([driver_id, "abnormal" if driver_id in abnormal_set else "normal"]
+                   for driver_id in driver_ids))
         written.append(trip_truth_path)
-        with open(trip_truth_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRIP_TRUTH_COLUMNS)
-            for driver_id, trip_id, kind in trip_truth:
-                writer.writerow([driver_id, trip_id, "abnormal" if kind else "normal", kind or ""])
+        write_csv(trip_truth_path, TRIP_TRUTH_COLUMNS,
+                  ([driver_id, trip_id, "abnormal" if kind else "normal", kind or ""]
+                   for driver_id, trip_id, kind in trip_truth))
 
     return DatasetSummary(
         out_dir=out,

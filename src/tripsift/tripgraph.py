@@ -12,7 +12,6 @@ lists the row index of each traversal in time order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .geo import circular_mean_deg, haversine_m, mean_resultant_length
+from .ingest import write_csv
 from .matching import MatchedTrip
 
 MATRIX_CSV_COLUMNS = [
@@ -167,10 +167,7 @@ def filter_by_min_length(
 
 def write_matrix_csv(graph: TripGraph, path: str | Path) -> None:
     """Debug export of one trip's matrix."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATRIX_CSV_COLUMNS)
-        writer.writerows(zip(
-            graph.segment_id, graph.direction, graph.avg_speed_mps, graph.avg_direction_deg,
-            graph.length_m, graph.n_hard_brakes, graph.n_hard_accels, graph.n_traversals,
-            graph.n_points))
+    write_csv(path, MATRIX_CSV_COLUMNS, zip(
+        graph.segment_id, graph.direction, graph.avg_speed_mps, graph.avg_direction_deg,
+        graph.length_m, graph.n_hard_brakes, graph.n_hard_accels, graph.n_traversals,
+        graph.n_points))

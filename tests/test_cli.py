@@ -116,13 +116,47 @@ def test_unexpected_failure_exit_code(tmp_path, monkeypatch):
     assert main(["generate", "--out", str(tmp_path / "d")] + GEN_ARGS) == 1
 
 
-def test_generate_removes_partial_outputs_on_failure(tmp_path):
+def test_generate_removes_partial_outputs_on_failure(tmp_path, caplog):
     data = tmp_path / "data"
     (data / "truth.csv").mkdir(parents=True)    # makes the fourth write fail
     assert main(["generate", "--out", str(data), "--drivers", "3",
                  "--trips-per-driver", "2"]) == 2
     assert sorted(p.name for p in data.iterdir()) == ["manifest.json", "truth.csv"]
     assert json.loads((data / "manifest.json").read_text())["outcome"] == "error"
+    assert "could not remove partial output" not in caplog.text
+
+
+def test_score_removes_partial_outputs_on_failure(tmp_path, caplog):
+    data, run, scored = tmp_path / "data", tmp_path / "run", tmp_path / "scored"
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    assert main(["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
+                 "--out", str(run)]) == 0
+    (scored / "driver_report.csv").mkdir(parents=True)    # makes the second write fail
+    assert main(["score", "--features", str(run / "features.csv"), "--out", str(scored)]) == 2
+    assert sorted(p.name for p in scored.iterdir()) == ["driver_report.csv", "manifest.json"]
+    assert "could not remove partial output" not in caplog.text
+
+
+def test_match_removes_partial_outputs_on_failure(tmp_path, caplog):
+    data, matched = tmp_path / "data", tmp_path / "matched"
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    (matched / "matrices" / "trip_4_3.csv").mkdir(parents=True)   # makes the last matrix fail
+    assert main(["match", "--network", str(data), "--trips", str(data / "trips.csv"),
+                 "--out", str(matched)]) == 2
+    assert sorted(p.name for p in matched.iterdir()) == ["manifest.json", "matrices"]
+    assert [p.name for p in (matched / "matrices").iterdir()] == ["trip_4_3.csv"]
+    assert "could not remove partial output" not in caplog.text
+
+
+def test_over_long_network_field_is_usage_error(tmp_path, caplog):
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    lines = (data / "nodes.csv").read_text().splitlines(keepends=True)
+    lines[3] = "9" * 200_000 + lines[3]
+    (data / "nodes.csv").write_text("".join(lines))
+    assert main(["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "nodes.csv: line 4: field larger than field limit (131072)" in caplog.text
 
 
 def test_config_file_flags_win(tmp_path):

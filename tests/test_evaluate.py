@@ -83,7 +83,7 @@ def test_read_truth(tmp_path):
         read_truth(path)
 
     path.write_text("label\nnormal\n")
-    with pytest.raises(ValueError, match="missing column driver_id"):
+    with pytest.raises(ValueError, match=r"missing columns \['driver_id'\]"):
         read_truth(path)
 
 

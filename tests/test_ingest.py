@@ -1,5 +1,6 @@
-"""Reader behavior: strict network validation, row-level trip rejection."""
+"""Reader behavior: the CSV format, strict network validation, row-level trip rejection."""
 
+import ast
 import csv
 import logging
 import os
@@ -9,16 +10,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripsift import ingest
+from tripsift.evaluate import read_truth
+from tripsift.features import FEATURE_TABLE_COLUMNS, read_feature_table
 from tripsift.ingest import (
     EVENT_COLUMNS,
     TRAJECTORY_COLUMNS,
     IngestReport,
     parse_road_network,
     parse_trips,
+    read_csv,
+    write_csv,
     write_network,
     write_trips,
 )
@@ -540,3 +545,90 @@ def test_parse_trips_verbose_line_numbers_across_parts(tmp_path, monkeypatch):
     assert report.n_points_read == 4
     assert lines == ["rejected row at line 4: bad_field_count",
                      "rejected row at line 7: lat_out_of_range"]
+
+
+@pytest.mark.parametrize("bad", [b"1,1,100,100," + b"4" * 200_000 + b",-86.0,10.0,90.0",
+                                 b"1,1,100,100,40.\xff,-86.0,10.0,90.0"],
+                         ids=["over_long_field", "undecodable_byte"])
+def test_parse_trips_unreadable_row_rejected_as_non_numeric(tmp_path, monkeypatch, bad):
+    rows = [f"1,1,{i},{i},40.0,-86.0,10.0,90.0".encode() for i in range(100)]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\n".join([TRIP_HEADER.strip().encode(), *rows[:50], bad, *rows[50:], b""]))
+    monkeypatch.setattr(ingest, "process_count", lambda workers: workers)
+    one = parse_logged(path)
+    _, report, _, lines = one
+    assert report.rejection_reasons == {"non_numeric": 1}
+    assert report.n_points_read == 101
+    assert lines == ["rejected row at line 52: non_numeric"]
+    assert parse_logged(path, workers=2) == one
+
+
+CSV_FIELDS = st.text(st.sampled_from(["a", "1", " ", ",", '"', "\r", "\n"]), max_size=6)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 4))
+    row = st.lists(CSV_FIELDS, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+@example((["a"], [[""], ["\r\n"], [""]]))
+def test_write_csv_read_csv_roundtrip(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, header, rows)
+        with read_csv(path, header) as (read_header, records):
+            read = list(records)
+    assert read_header == header
+    assert [fields for _, fields in read] == rows
+    assert [lineno for lineno, _ in read] == list(range(2, len(rows) + 2))
+
+
+def read_nodes(path):
+    return parse_road_network(path, write(path.with_name("segments.csv"), SEGMENTS_OK))
+
+
+def read_segments(path):
+    return parse_road_network(write(path.with_name("nodes.csv"), NODES_OK), path)
+
+
+# each file's third line holds the field under test at {}
+READERS = [
+    (NODES_OK.replace("2,40.0,-85.99", "2,40.0,{}"), read_nodes),
+    (SEGMENTS_OK.replace("11,2,3", "11,2,{}"), read_segments),
+    (",".join(FEATURE_TABLE_COLUMNS) + "\n1,1" + ",0.5" * 10 + "\n1,2,{}" + ",0.5" * 9 + "\n",
+     read_feature_table),
+    ("driver_id,label\n1,normal\n2,{}\n", read_truth),
+]
+
+
+@pytest.mark.parametrize("field,message", [
+    (b"9" * 200_000, r"input\.csv: line 3: field larger than field limit"),
+    (b"0.\xff", r"input\.csv: 'utf-8' codec can't decode byte 0xff"),
+], ids=["over_long_field", "undecodable_byte"])
+@pytest.mark.parametrize("template,read", READERS, ids=["nodes", "segments", "features", "labels"])
+def test_readers_reject_unreadable_field_naming_file(tmp_path, template, read, field, message):
+    path = tmp_path / "input.csv"
+    before, after = template.encode().split(b"{}")
+    path.write_bytes(before + field + after)
+    with pytest.raises(ValueError, match=message):
+        read(path)
+
+
+def test_only_ingest_imports_csv():
+    importers = set()
+    for path in Path(ingest.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.add(path.name)
+    assert importers == {"ingest.py"}

@@ -161,7 +161,7 @@ def test_nothing_matches(small_dataset, tmp_path):
                      far, tmp_path / "out", CONFIG)
 
 
-def test_partial_outputs_removed_on_failure(small_dataset, tmp_path):
+def test_partial_outputs_removed_on_failure(small_dataset, tmp_path, caplog):
     out = tmp_path / "broken"
     out.mkdir()
     (out / "summary.json").mkdir()    # makes the final write fail
@@ -170,6 +170,7 @@ def test_partial_outputs_removed_on_failure(small_dataset, tmp_path):
     assert not (out / "features.csv").exists()
     assert not (out / "trip_scores.csv").exists()
     assert not (out / "driver_report.csv").exists()
+    assert "could not remove partial output" not in caplog.text
 
 
 def test_events_derived_when_columns_missing(small_dataset, tmp_path):

@@ -166,7 +166,7 @@ def test_write_driver_report_and_read_back(tmp_path):
 def test_read_classifications_errors(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("driver_id,mean_score\n1,0.5\n")
-    with pytest.raises(ValueError, match="missing column classification"):
+    with pytest.raises(ValueError, match=r"missing columns \['classification'\]"):
         read_driver_classifications(path)
     path.write_text("driver_id,classification\n1,weird\n")
     with pytest.raises(ValueError, match="unknown classification"):
