@@ -280,14 +280,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "pipeline", vals,
                          [nodes_path, segments_path, trips_path]) as manifest:
+        stages = StageLog()
+        manifest.stages = stages.seconds
         result = run_pipeline(
             nodes_path, segments_path, trips_path, out, config,
             per_category=vals["per_category"],
             workers=vals["workers"],
             save_model_json=vals["save_model"],
+            stages=stages,
         )
         manifest.counts = result.counts
-        manifest.stages = result.stage_seconds
         log.info("pipeline complete: outputs in %s", out)
     return EXIT_OK
 

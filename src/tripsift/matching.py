@@ -4,7 +4,10 @@ A matched trip keeps its trip's columns, the indices of the points that
 snapped, the directed edge (segment_id and direction arrays) of each,
 and the snap results of its first and last matched points.
 nearest_segment is the one snapping function: it takes one point, or
-the lat/lon columns of a whole trip.
+lat/lon columns of any length. snap_trips feeds it runs of whole trips,
+joined into chunks of up to CHUNK_POINTS points (a longer trip alone),
+and splits each result back into one SnapResult per trip; match_trip
+turns a trip's snaps into a MatchedTrip or a rejection.
 
 Candidate lookup runs on a uniform grid keyed by a fixed equirectangular
 projection of the network's bounding box. A point's candidates are every
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +54,13 @@ _TIE_FLOOR = 1e-300
 
 _NO_CANDIDATES = np.empty(0, dtype=np.intp)
 _NO_CANDIDATES.setflags(write=False)
+
+# points per nearest_segment call in snap_trips, unless one trip is longer.
+# The call's block is these points times the widest candidate box among
+# them, so this bounds its memory; numpy's fixed cost per call is already
+# small at this size, and at 2048 the run's peak RSS rose by 3 MB on a
+# 24-segment network where every box holds the whole network
+CHUNK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -282,21 +292,19 @@ def nearest_segment(
     rings = int((_SLACK_FACTOR * max_snap_distance_m + _SLACK_M) / cell) + 1
 
     # home cells, by the arithmetic of SegmentGrid.project; one candidate
-    # lookup per run of consecutive points in the same cell
+    # lookup per distinct cell (as the complex ci + j*cj), numbered home[k] for point k
     ci = np.floor((lon - grid.lon0) * _DEG_TO_RAD * EARTH_RADIUS_M * grid.cos_ref / cell)
     cj = np.floor((lat - grid.lat0) * _DEG_TO_RAD * EARTH_RADIUS_M / cell)
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])
-    run = np.cumsum(starts) - 1
+    _, first, home = np.unique(ci + 1j * cj, return_index=True, return_inverse=True)
     boxes = [grid.candidates(i, j, rings) for i, j in
-             zip(ci[starts].astype(np.int64).tolist(), cj[starts].astype(np.int64).tolist())]
-    # pad every run to the widest box; padding points at position 0 and is masked off
+             zip(ci[first].astype(np.int64).tolist(), cj[first].astype(np.int64).tolist())]
+    # pad every cell's box to the widest; padding points at position 0 and is masked off
     lengths = np.fromiter(map(len, boxes), np.intp, len(boxes))
     width = max(lengths.max(initial=0), 1)
     filled = np.arange(width) < lengths[:, None]
     pos = np.zeros(filled.shape, dtype=np.intp)
     pos[filled] = np.concatenate(boxes) if boxes else []
-    pos, filled = pos[run], filled[run]
+    pos, filled = pos[home], filled[home]
 
     cos_ref = np.fromiter(map(math.cos, (lat * _DEG_TO_RAD).tolist()), float, n)
     kx = EARTH_RADIUS_M * np.maximum(cos_ref, 1e-12)
@@ -354,13 +362,47 @@ def travel_direction(
     return int(direction) if direction.ndim == 0 else direction
 
 
-def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> MatchedTrip:
-    """Snap every point of a trip to its nearest segment, in one nearest_segment
-    call on the trip's lat/lon columns.
+def snap_trips(
+    trips: Sequence[Trip], network: RoadNetwork, max_snap_distance_m: float
+) -> Iterator[SnapResult]:
+    """Each trip's snaps, in order, from one nearest_segment call per chunk.
 
-    Points with no segment within config.max_snap_distance_m are
-    dropped. The trip is rejected when nothing matches or when the
-    matched fraction falls below config.min_matched_fraction.
+    A chunk is a run of consecutive whole trips, grown while the next
+    trip still fits in CHUNK_POINTS points; a longer trip is a chunk of
+    its own. Each trip's SnapResult is a view of its chunk's arrays. A
+    point's snap does not depend on the other points of its call, so it
+    equals nearest_segment on the trip alone. Chunks are snapped as the
+    results are consumed, so only one chunk is held at a time.
+    """
+    start = 0
+    while start < len(trips):
+        stop, size = start + 1, len(trips[start])
+        while stop < len(trips) and size + len(trips[stop]) <= CHUNK_POINTS:
+            size += len(trips[stop])
+            stop += 1
+        run = trips[start:stop]
+        snaps = nearest_segment(np.concatenate([t.lat for t in run]),
+                                np.concatenate([t.lon for t in run]),
+                                network, max_snap_distance_m)
+        ends = np.cumsum([len(t) for t in run]).tolist()
+        for a, b in zip([0] + ends, ends):
+            yield SnapResult(snaps.segment_id[a:b], snaps.distance_m[a:b],
+                             snaps.lat[a:b], snaps.lon[a:b])
+        start = stop
+
+
+def match_trip(
+    trip: Trip, network: RoadNetwork, config: AnalysisConfig,
+    snaps: Optional[SnapResult] = None,
+) -> MatchedTrip:
+    """Turn a trip's snaps into its matched points and directed edges.
+
+    `snaps` holds the array snaps of the trip's points at
+    config.max_snap_distance_m, as snap_trips gives them; without it the
+    trip is snapped here, in one nearest_segment call on its lat/lon
+    columns. Points with no segment in range are dropped. The trip is
+    rejected when nothing matches or when the matched fraction falls
+    below config.min_matched_fraction.
 
     Raises:
         MatchRejected: reason "empty_match" or "poor_match".
@@ -368,7 +410,8 @@ def match_trip(trip: Trip, network: RoadNetwork, config: AnalysisConfig) -> Matc
             direction is undefined.
     """
     n = len(trip)
-    snaps = nearest_segment(trip.lat, trip.lon, network, config.max_snap_distance_m)
+    if snaps is None:
+        snaps = nearest_segment(trip.lat, trip.lon, network, config.max_snap_distance_m)
     kept = np.flatnonzero(snaps.segment_id >= 0)
     grid = _grid_of(network)
     pos = np.searchsorted(grid.segment_ids, snaps.segment_id[kept])

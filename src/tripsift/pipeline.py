@@ -2,10 +2,11 @@
 
 The run is a chain of named stages that the match and score subcommands
 also call on their own: ingest_inputs (network and trips, with hard
-events derived when the file has none), match_all (every trip, results
-in input order) and score_and_write (forest scores, driver ranking,
-score files). Each stage adds its time to a StageLog, which also keeps
-the peak RSS of the process and its worker processes as the stage ended.
+events derived when the file has none), match_all (every trip, snapped
+in chunks of many trips, results in input order) and score_and_write
+(forest scores, driver ranking, score files). Each stage adds its time
+to a StageLog, which also keeps the peak RSS of the process and its
+worker processes as the stage ended, also when the stage raised.
 
 Outputs land in one directory: features.csv, trip_scores.csv,
 driver_report.csv, summary.json (and model.json on request). On any
@@ -28,7 +29,7 @@ from .features import FeatureTable, extract_feature_table, write_feature_table
 from .forked import process_count
 from .iforest import IForestModel, save_model, threshold_from_contamination
 from .ingest import IngestReport, parse_road_network, parse_trips, removed_on_failure
-from .matching import MatchedTrip, MatchRejected, match_trip
+from .matching import MatchedTrip, MatchRejected, match_trip, snap_trips
 from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
                       write_driver_report, write_trip_scores)
@@ -84,12 +85,15 @@ class StageLog:
 
     @contextmanager
     def timed(self, stage: str) -> Iterator[None]:
-        """Add the time spent in the block to seconds[stage]."""
+        """Add the time spent in the block to seconds[stage], also when it raises."""
         t0 = time.perf_counter()
-        yield
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - t0
-        self.peak_rss_mb[stage] = max(resource.getrusage(who).ru_maxrss / 1024.0
-                                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        try:
+            yield
+        finally:
+            self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - t0
+            self.peak_rss_mb[stage] = max(
+                resource.getrusage(who).ru_maxrss / 1024.0
+                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def ingest_inputs(
@@ -124,12 +128,16 @@ def match_all(
     config: AnalysisConfig,
     stages: StageLog,
 ) -> list[Union[MatchedTrip, MatchRejected]]:
-    """Match every trip; each result is the matched trip or its rejection, in input order."""
+    """Match every trip; each result is the matched trip or its rejection, in input order.
+
+    The points of runs of trips are snapped together (snap_trips), then
+    each trip's snaps are matched on their own (match_trip).
+    """
     results: list[Union[MatchedTrip, MatchRejected]] = []
     with stages.timed("match"):
-        for trip in trips:
+        for trip, snaps in zip(trips, snap_trips(trips, network, config.max_snap_distance_m)):
             try:
-                results.append(match_trip(trip, network, config))
+                results.append(match_trip(trip, network, config, snaps))
             except MatchRejected as exc:
                 results.append(exc)
     return results
@@ -185,6 +193,7 @@ def run_pipeline(
     per_category: bool = False,
     workers: int = 1,
     save_model_json: bool = False,
+    stages: Optional[StageLog] = None,
 ) -> PipelineResult:
     """Run the whole pipeline and write its outputs.
 
@@ -193,8 +202,11 @@ def run_pipeline(
     parts (byte ranges of the file, runs of trees) computed at the same
     time, the first in this process and the others in forked children,
     and joined in order, so every output is the same for any workers.
-    Events, matching, trip graphs and features run in this process, one
-    trip after another.
+    Events, matching, trip graphs and features run in this process:
+    matching snaps the points of runs of trips in bounded chunks, then
+    decides each trip on its own; events, graphs and features go one
+    trip after another. The stage times and peaks go into `stages` when
+    it is given, so the caller keeps them when the run fails.
 
     Raises:
         ValueError: workers below 1.
@@ -205,7 +217,8 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     with removed_on_failure() as written:
         return _run(Path(nodes_path), Path(segments_path), Path(trips_path), out,
-                    config, per_category, save_model_json, workers, written)
+                    config, per_category, save_model_json, workers, written,
+                    StageLog() if stages is None else stages)
 
 
 def _run(
@@ -218,8 +231,8 @@ def _run(
     save_model_json: bool,
     workers: int,
     written: list[Path],
+    stages: StageLog,
 ) -> PipelineResult:
-    stages = StageLog()
     network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
                                            config, stages, workers)
     if not trips:

@@ -97,6 +97,25 @@ def test_empty_pipeline_exit_code(tmp_path):
                  "--trips", str(header_only), "--out", str(tmp_path / "out")]) == 3
 
 
+def test_failed_pipeline_manifest_keeps_stage_times(tmp_path):
+    """A run that fails in matching still says in its manifest where its time went."""
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    rows = [line.split(",") for line in (data / "trips.csv").read_text().splitlines()]
+    lat = rows[0].index("lat")
+    for row in rows[1:]:
+        row[lat] = repr(float(row[lat]) + 0.1)  # about 11 km north of every road
+    moved = tmp_path / "moved.csv"
+    moved.write_text("".join(",".join(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--network", str(data), "--trips", str(moved),
+                 "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["outcome"], manifest["error"]) == ("error", "no trips matched the network")
+    assert list(manifest["stages"]) == ["ingest", "events", "match"]
+    assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+
+
 def test_evaluate_mismatch_exit_code(tmp_path):
     pred = tmp_path / "pred.csv"
     truth = tmp_path / "truth.csv"

@@ -1,14 +1,17 @@
 """Snapping correctness: exact chord distances, grid search equals brute force."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripsift import matching
 from tripsift.geo import EARTH_RADIUS_M, circular_diff_deg, haversine_m, initial_bearing_deg, normalize_bearing_deg
 from tripsift.matching import (
+    MatchedTrip,
     MatchRejected,
     SegmentGrid,
     SnapResult,
@@ -25,6 +28,7 @@ from tripsift.model import (
     RoadSegment,
     Trip,
 )
+from tripsift.pipeline import StageLog, match_all
 
 LAT_SCALE_M = 111.19492664455875  # meters per 0.001 deg of latitude
 
@@ -352,15 +356,9 @@ def reference_match(trip, network, config):
     return kept, edges, snaps
 
 
-@st.composite
-def trip_cases(draw):
-    """A snap_cases network, a trip through its query points, and a config.
-
-    Courses are arbitrary, compass points, or a segment's own bearing
-    turned by +-90 or 180 degrees, so exactly perpendicular courses occur.
-    """
-    network, queries = draw(snap_cases())
-    spots = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=40))
+def courses_on(network):
+    """Courses: arbitrary, compass points, or a segment's own bearing turned
+    by +-90 or 180 degrees, so exactly perpendicular courses occur."""
     bearings = [initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
                 for a, b in map(network.segment_endpoints, network.segments)
                 if (a.lat, a.lon) != (b.lat, b.lon)]
@@ -368,10 +366,21 @@ def trip_cases(draw):
     if bearings:
         courses |= st.builds(lambda b, turn: normalize_bearing_deg(b + turn),
                              st.sampled_from(bearings), st.sampled_from([90.0, -90.0, 180.0]))
+    return courses
+
+
+configs = st.builds(AnalysisConfig, max_snap_distance_m=st.sampled_from([5.0, 50.0, 500.0]),
+                    min_matched_fraction=st.floats(0.01, 1.0))
+
+
+@st.composite
+def trip_cases(draw):
+    """A snap_cases network, a trip through its query points, and a config."""
+    network, queries = draw(snap_cases())
+    spots = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=40))
+    courses = courses_on(network)
     cogs = [draw(courses) for _ in spots]
-    config = AnalysisConfig(max_snap_distance_m=draw(st.sampled_from([5.0, 50.0, 500.0])),
-                            min_matched_fraction=draw(st.floats(0.01, 1.0)))
-    return network, line_trip(spots, cogs), config
+    return network, line_trip(spots, cogs), draw(configs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,3 +407,96 @@ def test_random_match_trip_equals_per_point_reference(case):
     assert matched.first_snap == snaps[0]
     assert matched.last_snap == snaps[-1]
     assert matched.matched_fraction == fraction
+
+
+@st.composite
+def run_cases(draw):
+    """A snap_cases network, 1-6 trips of 2-40 points (a Trip's least)
+    through its query points, a config, and a chunk size of 1-50 points, so
+    trips of the fewest points, trips longer than a chunk and trips across
+    a chunk edge all occur."""
+    network, queries = draw(snap_cases())
+    courses = courses_on(network)
+    trips = []
+    for k in range(draw(st.integers(1, 6))):
+        spots = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=40))
+        trips.append(line_trip(spots, [draw(courses) for _ in spots], trip=k))
+    return network, trips, draw(configs), draw(st.integers(1, 50))
+
+
+def match_or_rejection(trip, network, config):
+    try:
+        return match_trip(trip, network, config)
+    except MatchRejected as exc:
+        return exc
+
+
+def assert_chunked_run_equals_per_trip(network, trips, config, chunk):
+    """match_all with chunks of `chunk` points gives, for every trip, what
+    match_trip gives on the trip alone, and no nearest_segment call takes
+    more than max(chunk, longest trip) points."""
+    try:
+        want = [match_or_rejection(trip, network, config) for trip in trips]
+    except ValueError as exc:
+        want = exc
+    with mock.patch.object(matching, "CHUNK_POINTS", chunk), \
+            mock.patch.object(matching, "nearest_segment", wraps=matching.nearest_segment) as calls:
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
+                match_all(trips, network, config, StageLog())
+            return
+        got = match_all(trips, network, config, StageLog())
+    sizes = [len(c.args[0]) for c in calls.call_args_list]
+    assert max(sizes) <= max(chunk, *map(len, trips))
+    assert sum(sizes) == sum(map(len, trips))
+    assert len(got) == len(want)
+    for trip, g, w in zip(trips, got, want):
+        assert type(g) is type(w)
+        if isinstance(w, MatchRejected):
+            assert (g.reason, g.n_matched, g.matched_fraction) == \
+                (w.reason, w.n_matched, w.matched_fraction)
+            continue
+        assert g.trip is trip
+        assert g.kept.tolist() == w.kept.tolist()
+        assert g.segment_id.tolist() == w.segment_id.tolist()
+        assert g.direction.tolist() == w.direction.tolist()
+        assert (g.first_snap, g.last_snap, g.matched_fraction) == \
+            (w.first_snap, w.last_snap, w.matched_fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_cases())
+def test_random_chunked_match_all_equals_per_trip_match(case):
+    assert_chunked_run_equals_per_trip(*case)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 100])
+def test_chunked_match_all_zero_length_segment_raises_as_per_trip(chunk):
+    """A point of the third trip snaps to a zero-length segment: the run
+    raises match_trip's ValueError, however the trips are chunked."""
+    network = make_network([(1, 40.0, -86.0), (2, 40.0, -85.99), (3, 40.001, -85.995)],
+                           [(10, 1, 2), (11, 3, 3)])
+    on_line = [(40.0, -85.998), (40.0, -85.996)]
+    trips = [line_trip(on_line, [90.0, 90.0], trip=0),
+             line_trip(on_line, [270.0, 270.0], trip=1),
+             line_trip(on_line + [(40.001, -85.995)], [90.0] * 3, trip=2),
+             line_trip(on_line, [90.0, 90.0], trip=3)]
+    with pytest.raises(ValueError, match="zero-length"):
+        match_trip(trips[2], network, AnalysisConfig())
+    assert_chunked_run_equals_per_trip(network, trips, AnalysisConfig(), chunk)
+
+
+def test_chunked_match_all_keeps_rejections_in_place(line_network):
+    """Off-network and poorly matched trips between matched ones, in chunks
+    that split some trips' neighbours apart."""
+    on_line = [(40.0, -85.998), (40.0, -85.996), (40.0, -85.994)]
+    far = [(41.0, -85.998), (41.0, -85.996)]
+    trips = [line_trip(on_line, [90.0] * 3, trip=0),
+             line_trip(far, [90.0] * 2, trip=1),
+             line_trip(on_line[:1] + far, [90.0] * 3, trip=2),
+             line_trip(on_line[:2], [270.0] * 2, trip=3)]
+    for chunk in (1, 2, 4, 5, 1024):
+        assert_chunked_run_equals_per_trip(line_network, trips, AnalysisConfig(), chunk)
+    results = match_all(trips, line_network, AnalysisConfig(), StageLog())
+    assert [type(r) for r in results] == [MatchedTrip, MatchRejected, MatchRejected, MatchedTrip]
+    assert [r.reason for r in results[1:3]] == ["empty_match", "poor_match"]

@@ -16,7 +16,7 @@ from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
 from tripsift.model import AnalysisConfig
-from tripsift.pipeline import EmptyPipelineError, run_pipeline
+from tripsift.pipeline import EmptyPipelineError, StageLog, run_pipeline
 from tripsift.tripgraph import build_trip_graph
 
 CONFIG = AnalysisConfig(alpha=0.0)
@@ -184,6 +184,16 @@ def test_events_derived_when_columns_missing(small_dataset, tmp_path):
     # speed steps planted by the generator are recovered as hard events
     events = [FEATURE_NAMES.index("brakes_per_km"), FEATURE_NAMES.index("accels_per_km")]
     assert (result.table.matrix[:, events] > 0).any()
+
+
+def test_stage_that_raises_is_still_logged():
+    stages = StageLog()
+    with stages.timed("ok"):
+        pass
+    with pytest.raises(RuntimeError), stages.timed("boom"):
+        raise RuntimeError("stage failed")
+    assert list(stages.seconds) == list(stages.peak_rss_mb) == ["ok", "boom"]
+    assert stages.seconds["boom"] >= 0.0 and stages.peak_rss_mb["boom"] > 0.0
 
 
 def test_stage_peak_rss_counts_worker_processes():

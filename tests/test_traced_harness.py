@@ -13,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tripsift.ingest import parse_trips
+from tripsift.matching import CHUNK_POINTS
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
 
@@ -22,6 +25,18 @@ def load_traced():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def chunk_count(lengths, chunk):
+    """Chunks of the matcher's packing rule: runs of whole trips, each grown
+    while the next trip still fits in `chunk` points."""
+    count, size = 0, chunk
+    for length in lengths:
+        if size + length > chunk:
+            count, size = count + 1, length
+        else:
+            size += length
+    return count
 
 
 def traced_run(tmp_path, nodes, segments, trips):
@@ -42,8 +57,10 @@ def traced_run(tmp_path, nodes, segments, trips):
     assert absent == []
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(metrics) == {m["name"] for m in declared}
-    # the matcher snaps each trip's points in one nearest_segment call
-    assert metrics["matching.queries"] == summary["counts"]["trips_parsed"]
+    # the matcher snaps runs of trips in one nearest_segment call per chunk
+    lengths = [len(trip) for trip in parse_trips(trips)[0]]
+    assert len(lengths) == summary["counts"]["trips_parsed"]
+    assert metrics["matching.queries"] == chunk_count(lengths, CHUNK_POINTS)
     return spans, summary, metrics
 
 
