@@ -108,17 +108,24 @@ SCORE_OPTIONS = {name: PIPELINE_OPTIONS[name]
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file; blank lines and # comments ignored.
+
+    Raises ValueError naming the file for a line without "=" (with the
+    line) or bytes that do not decode.
+    """
     out: dict[str, str] = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: expected key=value at line {lineno}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}: expected key=value at line {lineno}")
+                key, value = line.split("=", 1)
+                out[key.strip()] = value.strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return out
 
 
@@ -158,8 +165,9 @@ def build_config(owner: Callable, options: dict[str, Option], vals: dict[str, An
 
 
 # help text for options whose default alone does not explain them
-OPTION_NOTES = {"workers": "processes that read the trips file and grow the forest, "
-                           "capped at the usable CPUs; outputs do not depend on it"}
+OPTION_NOTES = {"workers": "processes that read the trips file, match trips and build "
+                           "their graphs, and grow the forest, capped at the usable CPUs; "
+                           "outputs do not depend on it"}
 
 
 def _add_option_flags(parser: argparse.ArgumentParser, options: dict[str, Option]) -> None:

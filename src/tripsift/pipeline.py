@@ -1,9 +1,11 @@
 """End-to-end batch pipeline: ingest, match, build graphs, score, report.
 
-The run is a chain of named stages that the match and score subcommands
-also call on their own: ingest_inputs (network and trips, with hard
-events derived when the file has none), match_all (every trip, snapped
-in chunks of many trips, results in input order) and score_and_write
+The run is a chain of named stages, most of which the match and score
+subcommands also call on their own: ingest_inputs (network and trips,
+with hard events derived when the file has none), match_all (every
+trip, snapped in chunks of many trips, results in input order),
+match_and_build (match_all plus each matched trip's graph, over runs of
+consecutive trips in up to `workers` processes) and score_and_write
 (forest scores, driver ranking, score files). Each stage adds its time
 to a StageLog, which also keeps the peak RSS of the process and its
 worker processes as the stage ended, also when the stage raised.
@@ -25,15 +27,17 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+import numpy as np
+
 from .features import FeatureTable, extract_feature_table, write_feature_table
-from .forked import process_count
+from .forked import process_count, run_parts
 from .iforest import IForestModel, save_model, threshold_from_contamination
 from .ingest import IngestReport, parse_road_network, parse_trips, removed_on_failure
 from .matching import MatchedTrip, MatchRejected, match_trip, snap_trips
 from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
                       write_driver_report, write_trip_scores)
-from .tripgraph import build_trip_graph, detect_events, filter_by_min_length
+from .tripgraph import TripGraph, build_trip_graph, detect_events, filter_by_min_length
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +82,7 @@ class StageLog:
     """Seconds spent per stage, and the peak RSS in MB when each stage last
     ended: the larger high-water mark (ru_maxrss, which Linux reports in
     KiB) of this process and of its waited-for children, which include
-    the worker processes of parse_trips and fit."""
+    the worker processes of parse_trips, match_and_build and fit."""
 
     seconds: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
@@ -90,10 +94,14 @@ class StageLog:
         try:
             yield
         finally:
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - t0
-            self.peak_rss_mb[stage] = max(
-                resource.getrusage(who).ru_maxrss / 1024.0
-                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+            self.add(stage, time.perf_counter() - t0)
+
+    def add(self, stage: str, seconds: float) -> None:
+        """Add seconds to seconds[stage] and note the peak RSS as of now."""
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
+        self.peak_rss_mb[stage] = max(
+            resource.getrusage(who).ru_maxrss / 1024.0
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def ingest_inputs(
@@ -141,6 +149,63 @@ def match_all(
             except MatchRejected as exc:
                 results.append(exc)
     return results
+
+
+def match_and_build(
+    trips: list[Trip],
+    network: RoadNetwork,
+    config: AnalysisConfig,
+    stages: StageLog,
+    workers: int = 1,
+) -> tuple[list[TripGraph], list[tuple[str, int, int]], int]:
+    """Match every trip and build the graph of each matched one, in up to
+    `workers` processes; return the graphs and each rejection as (reason,
+    driver_id, trip_id), both in input order, and the matched-point count.
+
+    The trips are cut into runs of consecutive trips holding about equal
+    numbers of points. Each run is matched and built on its own, the first
+    in this process and the others in forked children, and the runs are
+    joined in order, so the result is the same for any workers. The whole
+    split is timed as "match", less the first run's graph building, which
+    is added to "graphs" when any trip matched.
+
+    Raises:
+        ValueError: a point snapped to a zero-length segment.
+    """
+    runs = _trip_runs(trips, process_count(workers))
+    with stages.timed("match"):
+        parts = run_parts(_match_and_build_run, [(trips[lo:hi], network, config) for lo, hi in runs])
+    graph_runs, rejected_runs, point_counts, graphs_seconds = zip(*parts)
+    graphs = [g for run in graph_runs for g in run]
+    # the first run built its graphs in this process: that time is the graphs stage's
+    stages.add("match", -graphs_seconds[0])
+    if graphs:
+        stages.add("graphs", graphs_seconds[0])
+    return graphs, [r for run in rejected_runs for r in run], sum(point_counts)
+
+
+def _trip_runs(trips: list[Trip], n: int) -> list[tuple[int, int]]:
+    """Bounds of up to n runs of consecutive trips, cut at the first trip
+    end at or past each n-th of the points; no run is empty unless it is
+    the only one."""
+    starts = np.cumsum([0] + [len(t) for t in trips])
+    cuts = np.searchsorted(starts, starts[-1] * np.arange(1, n) / n).tolist()
+    bounds = [0, *sorted(set(cuts) - {0, len(trips)}), len(trips)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _match_and_build_run(
+    trips: list[Trip], network: RoadNetwork, config: AnalysisConfig,
+) -> tuple[list[TripGraph], list[tuple[str, int, int]], int, float]:
+    """One run's graphs, rejections and matched-point count, as plain data a
+    forked part sends back, and the seconds its graph building took."""
+    stages = StageLog()
+    results = match_all(trips, network, config, stages)
+    matched = [r for r in results if isinstance(r, MatchedTrip)]
+    with stages.timed("graphs"):
+        graphs = [build_trip_graph(m, network) for m in matched]
+    rejected = [(r.reason, r.driver_id, r.trip_id) for r in results if isinstance(r, MatchRejected)]
+    return graphs, rejected, sum(len(m.kept) for m in matched), stages.seconds["graphs"]
 
 
 def score_and_write(
@@ -197,16 +262,16 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the whole pipeline and write its outputs.
 
-    `workers` processes, capped at the usable CPUs, read trips.csv and
-    grow the forest(s): each of those stages splits into independent
-    parts (byte ranges of the file, runs of trees) computed at the same
-    time, the first in this process and the others in forked children,
-    and joined in order, so every output is the same for any workers.
-    Events, matching, trip graphs and features run in this process:
-    matching snaps the points of runs of trips in bounded chunks, then
-    decides each trip on its own; events, graphs and features go one
-    trip after another. The stage times and peaks go into `stages` when
-    it is given, so the caller keeps them when the run fails.
+    `workers` processes, capped at the usable CPUs, read trips.csv, match
+    the trips and build their graphs, and grow the forest(s): each of
+    those stages splits into independent parts (byte ranges of the file,
+    runs of consecutive trips, runs of trees) computed at the same time,
+    the first in this process and the others in forked children, and
+    joined in order, so every output is the same for any workers. Events,
+    the minimum-length filter and features run in this process, one trip
+    after another, as they need every trip. The stage times and peaks go
+    into `stages` when it is given, so the caller keeps them when the run
+    fails.
 
     Raises:
         ValueError: workers below 1.
@@ -238,20 +303,17 @@ def _run(
     if not trips:
         raise EmptyPipelineError("no trips parsed from input")
 
-    results = match_all(trips, network, config, stages)
-    matched = [r for r in results if isinstance(r, MatchedTrip)]
+    graphs, rejected, n_points_matched = match_and_build(trips, network, config, stages, workers)
     rejections: dict[str, int] = {}
-    for r in results:
-        if isinstance(r, MatchRejected):
-            rejections[r.reason] = rejections.get(r.reason, 0) + 1
-            log.debug("match rejected (%s): driver %d trip %d", r.reason, r.driver_id, r.trip_id)
+    for reason, driver_id, trip_id in rejected:
+        rejections[reason] = rejections.get(reason, 0) + 1
+        log.debug("match rejected (%s): driver %d trip %d", reason, driver_id, trip_id)
     log.info("match: %d trips matched, %d rejected %s",
-             len(matched), len(results) - len(matched), rejections or "")
-    if not matched:
+             len(graphs), len(rejected), rejections or "")
+    if not graphs:
         raise EmptyPipelineError("no trips matched the network")
 
     with stages.timed("graphs"):
-        graphs = [build_trip_graph(m, network) for m in matched]
         kept, dropped = filter_by_min_length(graphs, config.alpha)
     log.info("graphs: %d trips kept, %d below min length %.1f m",
              len(kept), len(dropped), config.alpha)
@@ -271,9 +333,9 @@ def _run(
     result = PipelineResult(
         config=config,
         ingest_report=report,
-        n_match_rejected=len(results) - len(matched),
+        n_match_rejected=len(rejected),
         match_rejections=rejections,
-        n_points_matched=sum(len(m.kept) for m in matched),
+        n_points_matched=n_points_matched,
         n_alpha_dropped=len(dropped),
         table=table,
         trip_scores=trip_scores,

@@ -204,6 +204,14 @@ def test_config_file_errors(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
 
 
+def test_undecodable_config_file_is_usage_error_naming_it(tmp_path, caplog):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"trees=\xff\xfe\n")
+    assert main(["pipeline", "--network", str(tmp_path), "--trips", str(tmp_path / "trips.csv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{cfg}: 'utf-8' codec can't decode byte 0xff in position 6" in caplog.text
+
+
 @pytest.mark.parametrize("flag,field", [
     ("--max-snap", "max_snap_distance_m"),
     ("--alpha", "alpha"),

@@ -1,6 +1,7 @@
 """Snapping correctness: exact chord distances, grid search equals brute force."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsift import matching
+from tripsift import matching, pipeline
 from tripsift.geo import EARTH_RADIUS_M, circular_diff_deg, haversine_m, initial_bearing_deg, normalize_bearing_deg
 from tripsift.matching import (
     MatchedTrip,
@@ -28,7 +29,7 @@ from tripsift.model import (
     RoadSegment,
     Trip,
 )
-from tripsift.pipeline import StageLog, match_all
+from tripsift.pipeline import StageLog, match_all, match_and_build
 
 LAT_SCALE_M = 111.19492664455875  # meters per 0.001 deg of latitude
 
@@ -468,6 +469,42 @@ def assert_chunked_run_equals_per_trip(network, trips, config, chunk):
 @given(run_cases())
 def test_random_chunked_match_all_equals_per_trip_match(case):
     assert_chunked_run_equals_per_trip(*case)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate mean")    # random courses may cancel on a row
+@settings(max_examples=50, deadline=None)
+@given(run_cases(), st.integers(2, 4))
+def test_random_split_match_and_build_equals_one_part(case, workers):
+    """Cut into runs of trips matched and built in 2-4 forked parts, the run
+    joins into the one-part run's graphs (every field), rejections in input
+    order and matched-point count, or raises its ValueError."""
+    network, trips, config, chunk = case
+    with mock.patch.object(matching, "CHUNK_POINTS", chunk):
+        try:
+            one = match_and_build(trips, network, config, StageLog())
+        except ValueError as exc:
+            one = exc
+        with mock.patch.object(pipeline, "process_count", lambda w: w):
+            if isinstance(one, ValueError):
+                with pytest.raises(ValueError, match=re.escape(str(one))):
+                    match_and_build(trips, network, config, StageLog(), workers)
+                return
+            many = match_and_build(trips, network, config, StageLog(), workers)
+    assert many == one
+
+
+@given(st.lists(st.integers(2, 60), max_size=12), st.integers(1, 5))
+def test_trip_runs_cut_at_trip_ends_past_each_share(lengths, n):
+    trips = [line_trip([(40.0, -86.0)] * k, [0.0] * k) for k in lengths]
+    runs = pipeline._trip_runs(trips, n)
+    bounds = [lo for lo, _ in runs] + [runs[-1][1]]
+    assert bounds[0] == 0 and bounds[-1] == len(trips)
+    assert all(lo < hi for lo, hi in runs) or runs == [(0, 0)]
+    assert len(runs) <= n
+    starts = np.cumsum([0] + lengths)
+    for cut in bounds[1:-1]:
+        # the first trip end at or past some k-th n-th of the points
+        assert any(starts[cut - 1] < starts[-1] * k / n <= starts[cut] for k in range(1, n))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 100])

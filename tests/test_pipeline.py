@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import tripsift
+from tripsift import pipeline
 from tripsift.features import FEATURE_NAMES
 from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
-from tripsift.model import AnalysisConfig
+from tripsift.model import AnalysisConfig, RoadNode, RoadSegment
 from tripsift.pipeline import EmptyPipelineError, StageLog, run_pipeline
 from tripsift.tripgraph import build_trip_graph
 
@@ -95,17 +96,59 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
 
 def test_deterministic_across_workers(small_dataset, tmp_path, monkeypatch):
     run(small_dataset, tmp_path / "serial", workers=1, save_model_json=True)
-    # three usable CPUs: each split stage (ingest, fit) forks two children, whatever workers asks
+    # three usable CPUs: each split stage (ingest, matching and trip graphs, fit) forks two
+    # children, whatever workers asks
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     run(small_dataset, tmp_path / "parallel", workers=64, save_model_json=True)
-    assert len(forks) == 4
+    assert len(forks) == 6
     for name in ("features.csv", "trip_scores.csv", "driver_report.csv", "model.json"):
         a = (tmp_path / "serial" / name).read_bytes()
         b = (tmp_path / "parallel" / name).read_bytes()
         assert a == b, name
+
+
+def test_zero_length_segment_in_second_part_raises_as_in_one(small_dataset, tmp_path,
+                                                             monkeypatch):
+    """The last trip's last point, moved about 20 m off its road onto a
+    zero-length segment: matched in the second of two parts, in a forked
+    child, that trip raises match_trip's ValueError from run_pipeline, as in
+    one part."""
+    read_trips, read_network = pipeline.parse_trips, pipeline.parse_road_network
+
+    def with_moved_point(path, workers=1):
+        trips, report = read_trips(path, workers=workers)
+        trips[-1].lat[-1] += 0.0002
+        trips[-1].lon[-1] += 0.0002
+        return trips, report
+
+    def with_zero_length_segment(nodes_path, segments_path):
+        network = read_network(nodes_path, segments_path)
+        node_id, segment_id = max(network.nodes) + 1, max(network.segments) + 1
+        network.nodes[node_id] = RoadNode(node_id, lat, lon)
+        network.segments[segment_id] = RoadSegment(segment_id, node_id, node_id, 0.0)
+        network.index = None    # indexed again, with the new segment, on first use
+        return network
+
+    trips, _ = with_moved_point(small_dataset.trips_path)
+    lat, lon = float(trips[-1].lat[-1]), float(trips[-1].lon[-1])
+    network = with_zero_length_segment(small_dataset.nodes_path, small_dataset.segments_path)
+    (_, first_end), (second_start, _) = pipeline._trip_runs(trips, 2)
+    assert first_end == second_start < len(trips) - 1
+    for trip in trips[:-1]:
+        match_trip(trip, network, CONFIG)
+    with pytest.raises(ValueError, match="zero-length") as want:
+        match_trip(trips[-1], network, CONFIG)
+
+    monkeypatch.setattr(pipeline, "parse_trips", with_moved_point)
+    monkeypatch.setattr(pipeline, "parse_road_network", with_zero_length_segment)
+    monkeypatch.setattr(pipeline, "process_count", lambda workers: workers)
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as got:
+            run(small_dataset, tmp_path / f"workers{workers}", workers=workers)
+        assert str(got.value) == str(want.value), workers
 
 
 def test_per_category_outputs(small_dataset, tmp_path):
