@@ -33,13 +33,12 @@ from .evaluate import DriverSetMismatch, confusion, metrics, read_truth, write_m
 from .features import read_feature_table
 from .iforest import load_model
 from .ingest import removed_on_failure, write_csv
-from .matching import MatchRejected
 from .model import AnalysisConfig
-from .pipeline import (EmptyPipelineError, StageLog, ingest_inputs, match_all, run_pipeline,
+from .pipeline import (EmptyPipelineError, StageLog, ingest_inputs, match_and_build, run_pipeline,
                        score_and_write)
 from .scoring import read_driver_classifications
 from .synth import SynthSpec, generate_dataset
-from .tripgraph import build_trip_graph, write_matrix_csv
+from .tripgraph import write_matrix_csv
 
 log = logging.getLogger(__name__)
 
@@ -316,21 +315,23 @@ def cmd_match(args: argparse.Namespace) -> int:
         manifest.stages = stages.seconds
         network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
                                                config, stages)
-        results = match_all(trips, network, config, stages)
+        graphs, rejected = match_and_build(trips, network, config, stages)
+        rejections = {(driver_id, trip_id): (reason, n) for reason, driver_id, trip_id, n in rejected}
+        matched = iter(graphs.split())
         matrices_dir = out / "matrices"
         matrices_dir.mkdir(exist_ok=True)
         rows = []
-        for trip, matched in zip(trips, results):
-            if isinstance(matched, MatchRejected):
-                n_kept, status = matched.n_matched, matched.reason
-            else:
-                n_kept, status = len(matched.kept), "matched"
+        for trip in trips:
+            status, n_kept = rejections.get((trip.driver_id, trip.trip_id), ("matched", 0))
+            if status == "matched":
+                graph = next(matched)
+                n_kept = sum(graph.n_points)
                 matrix_path = matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv"
                 written.append(matrix_path)
-                write_matrix_csv(build_trip_graph(matched, network), matrix_path)
+                write_matrix_csv(graph, matrix_path)
             rows.append([trip.driver_id, trip.trip_id, len(trip), n_kept,
-                         f"{matched.matched_fraction:.4f}", status])
-        n_matched = sum(not isinstance(matched, MatchRejected) for matched in results)
+                         f"{n_kept / len(trip):.4f}", status])
+        n_matched = len(graphs.driver_id)
         written.append(out / "matched_trips.csv")
         write_csv(out / "matched_trips.csv", MATCHED_TRIP_COLUMNS, rows)
         manifest.counts = {"trips": len(trips), "matched": n_matched,

@@ -4,18 +4,19 @@ Ten dimensions in a fixed order; no standardization anywhere. The
 direction group captures route shape (loops, detours, erratic
 heading), the braking/acceleration groups capture hard events, and
 mean speed stands alone. A FeatureTable holds the vectors of many
-trips as one (N, 10) matrix, the form the forest reads.
+trips as one (N, 10) matrix, the form the forest reads. The matrix is
+computed from the row and traversal arrays of a many-trip TripGraph in
+a few array passes; one trip's vector is the same code on a run of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .geo import circular_diff_deg
 from .ingest import read_csv, write_csv
 from .tripgraph import TripGraph
 
@@ -57,51 +58,65 @@ class FeatureTable:
         return len(self.keys)
 
 
-def extract_features(graph: TripGraph) -> FeatureVector:
-    """Compute the 10-dimensional feature vector of one trip graph.
+def extract_features(graph: TripGraph) -> Union[FeatureVector, np.ndarray]:
+    """The 10-dimensional feature vector of a one-trip graph, or the (N, 10)
+    feature matrix of a many-trip graph, row i for its trip i.
+
+    Float sums add in row or traversal order (np.bincount), as a loop
+    over one trip's lists does.
 
     Raises:
         ValueError: degenerate trip (non-positive length).
     """
-    if graph.trip_length_m <= 0.0:
-        raise ValueError(f"degenerate trip ({graph.driver_id},{graph.trip_id}): non-positive length")
-    km = graph.trip_length_m / 1000.0
+    if graph.n_rows is None:
+        return FeatureVector(*extract_features(TripGraph.join([graph]))[0].tolist())
+    g, n = graph, len(graph.driver_id)
+    bad = np.flatnonzero(g.trip_length_m <= 0.0)
+    if len(bad):
+        key = g.driver_id[bad[0]], g.trip_id[bad[0]]
+        raise ValueError(f"degenerate trip ({key[0]},{key[1]}): non-positive length")
+    if not n:
+        return np.empty((0, 10))
+    first_row = np.cumsum(g.n_rows) - g.n_rows
+    row_trip = np.repeat(np.arange(n), g.n_rows)
+    run_trip = np.repeat(np.arange(n), g.n_runs)
+    run_direction = g.avg_direction_deg[g.traversal_sequence + first_row[run_trip]]
+    # the turn between each two consecutive traversals of one trip
+    turn = np.fmod(np.abs(run_direction[:-1] - run_direction[1:]), 360.0)
+    turn = np.where(turn > 180.0, 360.0 - turn, turn)
+    same_trip = run_trip[1:] == run_trip[:-1]
+    turn_sum = np.bincount(run_trip[1:][same_trip], weights=turn[same_trip], minlength=n)
 
-    turn_sum = 0.0
-    directions = graph.avg_direction_deg
-    seq = graph.traversal_sequence
-    for a, b in zip(seq, seq[1:]):
-        turn_sum += circular_diff_deg(directions[a], directions[b])
+    def per_trip(values):
+        return np.bincount(row_trip, weights=values, minlength=n)
 
-    n_rows = len(graph.segment_id)
-    return FeatureVector(
-        displacement_ratio=min(1.0, graph.net_displacement_m / graph.trip_length_m),
-        repetition_ratio=sum(graph.n_traversals) / n_rows,
-        revisited_edge_fraction=sum(1 for n in graph.n_traversals if n >= 2) / n_rows,
-        turn_density=turn_sum / km,
-        direction_circular_variance=1.0 - graph.cog_resultant,
-        brakes_per_km=sum(graph.n_hard_brakes) / km,
-        max_edge_brakes=float(max(graph.n_hard_brakes)),
-        accels_per_km=sum(graph.n_hard_accels) / km,
-        max_edge_accels=float(max(graph.n_hard_accels)),
-        mean_speed=(sum(s * n for s, n in zip(graph.avg_speed_mps, graph.n_points))
-                    / sum(graph.n_points)),
-    )
+    km = g.trip_length_m / 1000.0
+    displacement = g.net_displacement_m / g.trip_length_m
+    return np.column_stack([
+        np.where(displacement < 1.0, displacement, 1.0),
+        per_trip(g.n_traversals) / g.n_rows,
+        per_trip(g.n_traversals >= 2) / g.n_rows,
+        turn_sum / km,
+        1.0 - g.cog_resultant,
+        np.add.reduceat(g.n_hard_brakes, first_row) / km,
+        np.maximum.reduceat(g.n_hard_brakes, first_row).astype(float),
+        np.add.reduceat(g.n_hard_accels, first_row) / km,
+        np.maximum.reduceat(g.n_hard_accels, first_row).astype(float),
+        per_trip(g.avg_speed_mps * g.n_points) / per_trip(g.n_points),
+    ])
 
 
-def extract_feature_table(graphs: Sequence[TripGraph]) -> FeatureTable:
-    """Feature vectors for many trips, sorted by (driver_id, trip_id)."""
-    seen: set[tuple[int, int]] = set()
-    for g in graphs:
-        key = (g.driver_id, g.trip_id)
-        if key in seen:
-            raise ValueError(f"duplicate trip key {key}")
-        seen.add(key)
-    ordered = sorted(graphs, key=lambda g: (g.driver_id, g.trip_id))
-    return FeatureTable(
-        keys=[(g.driver_id, g.trip_id) for g in ordered],
-        matrix=np.array([extract_features(g) for g in ordered], dtype=float).reshape(-1, 10),
-    )
+def extract_feature_table(graphs: Union[TripGraph, Sequence[TripGraph]]) -> FeatureTable:
+    """Feature vectors for many trips, a many-trip graph or a sequence of
+    graphs, sorted by (driver_id, trip_id)."""
+    if not isinstance(graphs, TripGraph):
+        graphs = TripGraph.join(graphs)
+    order = np.lexsort((graphs.trip_id, graphs.driver_id))
+    keys = np.column_stack((graphs.driver_id, graphs.trip_id))[order].tolist()
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            raise ValueError(f"duplicate trip key {tuple(a)}")
+    return FeatureTable(keys=list(map(tuple, keys)), matrix=extract_features(graphs)[order])
 
 
 def write_feature_table(table: FeatureTable, path: str | Path) -> None:

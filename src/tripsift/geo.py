@@ -12,6 +12,11 @@ from typing import Iterable, Sequence
 
 EARTH_RADIUS_M = 6_371_000.0
 
+# the factors math.radians and math.degrees multiply by, so array code
+# converts angles bit for bit as the scalar code does
+DEG_TO_RAD = math.pi / 180.0
+RAD_TO_DEG = 180.0 / math.pi
+
 
 def normalize_bearing_deg(angle: float) -> float:
     """Fold an angle in degrees into [0, 360)."""

@@ -5,9 +5,10 @@ snapped, the directed edge (segment_id and direction arrays) of each,
 and the snap results of its first and last matched points.
 nearest_segment is the one snapping function: it takes one point, or
 lat/lon columns of any length. snap_trips feeds it runs of whole trips,
-joined into chunks of up to CHUNK_POINTS points (a longer trip alone),
-and splits each result back into one SnapResult per trip; match_trip
-turns a trip's snaps into a MatchedTrip or a rejection.
+joined into chunks of up to CHUNK_POINTS points (a longer trip alone);
+match_trip turns a trip's snaps into a MatchedTrip or a rejection, or a
+whole run's snaps into one MatchedTrip of its matched trips, which lists
+the rejected ones.
 
 Candidate lookup runs on a uniform grid keyed by a fixed equirectangular
 projection of the network's bounding box. A point's candidates are every
@@ -24,12 +25,12 @@ Accuracy assumes city-scale networks at sane latitudes (below roughly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .geo import EARTH_RADIUS_M, initial_bearing_deg
+from .geo import DEG_TO_RAD, EARTH_RADIUS_M, RAD_TO_DEG, initial_bearing_deg
 from .model import AnalysisConfig, RoadNetwork, RoadNode, Trip
 
 DEFAULT_CELL_SIZE_M = 200.0
@@ -41,11 +42,6 @@ _SLACK_M = 10.0
 # a chord is registered in the cells within this distance of its computed
 # path, which covers rounding in the cell crossings many times over
 _EDGE_M = 1e-3
-
-# the factors math.radians and math.degrees multiply by, so array code
-# converts angles bit for bit as the scalar code does
-_DEG_TO_RAD = math.pi / 180.0
-_RAD_TO_DEG = 180.0 / math.pi
 
 # squared distances rank the candidates; where the best two squares lie
 # within this relative band, or this absolute floor, math.hypot decides
@@ -61,6 +57,12 @@ _NO_CANDIDATES.setflags(write=False)
 # small at this size, and at 2048 the run's peak RSS rose by 3 MB on a
 # 24-segment network where every box holds the whole network
 CHUNK_POINTS = 1024
+
+# points per run of chunks that snap_trips gives, unless one chunk is
+# longer. A run is matched and its graphs built as one table of a few
+# arrays per point, so this bounds their memory; below it, numpy's fixed
+# cost per call shows (on 290-point trips, 1024-point runs took twice as long)
+RUN_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -81,24 +83,35 @@ class SnapResult:
         return SnapResult(int(self.segment_id[i]), float(self.distance_m[i]),
                           float(self.lat[i]), float(self.lon[i]))
 
+    def take(self, index: np.ndarray) -> SnapResult:
+        """The rows at index of an array result, as arrays."""
+        return SnapResult(self.segment_id[index], self.distance_m[index],
+                          self.lat[index], self.lon[index])
+
 
 @dataclass
 class MatchedTrip:
-    """A trip and the points of it that snapped.
+    """A trip and the points of it that snapped, or the matched trips of a
+    run and their points.
 
-    kept holds the indices of those points into the trip's columns, in
-    order; segment_id and direction hold the directed edge of each (+1
-    with the segment's from->to orientation, -1 against it). first_snap
-    and last_snap are the snap results of the first and last of them.
+    kept holds the indices of those points into the trip's columns (into
+    the trips' columns joined trip after trip), in order; segment_id and
+    direction hold the directed edge of each (+1 with the segment's
+    from->to orientation, -1 against it). first_snap and last_snap are the
+    snap results of the first and last of them: scalars for one trip, and
+    arrays with one entry per trip for a run, as matched_fraction is. A
+    run also lists its rejected trips, each as (reason, driver_id,
+    trip_id, n_matched).
     """
 
-    trip: Trip
+    trip: Union[Trip, list[Trip]]
     kept: np.ndarray
     segment_id: np.ndarray
     direction: np.ndarray
     first_snap: SnapResult
     last_snap: SnapResult
-    matched_fraction: float
+    matched_fraction: Union[float, np.ndarray]
+    rejected: list[tuple[str, int, int, int]] = field(default_factory=list)
 
 
 class MatchRejected(Exception):
@@ -191,6 +204,7 @@ class SegmentGrid:
             self._cell_bounds = (0, 0, 0, 0)
 
         self.segment_ids = np.array(ids, dtype=np.int64)
+        self.length_m = np.array([network.segments[seg_id].length_m for seg_id in ids], dtype=float)
         self.a_lat = np.array([a.lat for a, _ in ends], dtype=float)
         self.a_lon = np.array([a.lon for a, _ in ends], dtype=float)
         self.b_lat = np.array([b.lat for _, b in ends], dtype=float)
@@ -256,7 +270,8 @@ def build_spatial_index(network: RoadNetwork, cell_size_m: float = DEFAULT_CELL_
     return SegmentGrid(network, cell_size_m)
 
 
-def _grid_of(network: RoadNetwork) -> SegmentGrid:
+def grid_of(network: RoadNetwork) -> SegmentGrid:
+    """The network's spatial index, built on first use."""
     if network.index is None:
         network.index = build_spatial_index(network)
     return network.index
@@ -283,7 +298,7 @@ def nearest_segment(
         For arrays, one SnapResult of arrays, with segment_id -1 (and NaN
         elsewhere) on the rows where nothing is in range.
     """
-    grid = _grid_of(network)
+    grid = grid_of(network)
     scalar = np.ndim(lat) == 0
     lat = np.atleast_1d(np.asarray(lat, dtype=float))
     lon = np.atleast_1d(np.asarray(lon, dtype=float))
@@ -293,8 +308,8 @@ def nearest_segment(
 
     # home cells, by the arithmetic of SegmentGrid.project; one candidate
     # lookup per distinct cell (as the complex ci + j*cj), numbered home[k] for point k
-    ci = np.floor((lon - grid.lon0) * _DEG_TO_RAD * EARTH_RADIUS_M * grid.cos_ref / cell)
-    cj = np.floor((lat - grid.lat0) * _DEG_TO_RAD * EARTH_RADIUS_M / cell)
+    ci = np.floor((lon - grid.lon0) * DEG_TO_RAD * EARTH_RADIUS_M * grid.cos_ref / cell)
+    cj = np.floor((lat - grid.lat0) * DEG_TO_RAD * EARTH_RADIUS_M / cell)
     _, first, home = np.unique(ci + 1j * cj, return_index=True, return_inverse=True)
     boxes = [grid.candidates(i, j, rings) for i, j in
              zip(ci[first].astype(np.int64).tolist(), cj[first].astype(np.int64).tolist())]
@@ -306,13 +321,13 @@ def nearest_segment(
     pos[filled] = np.concatenate(boxes) if boxes else []
     pos, filled = pos[home], filled[home]
 
-    cos_ref = np.fromiter(map(math.cos, (lat * _DEG_TO_RAD).tolist()), float, n)
+    cos_ref = np.fromiter(map(math.cos, (lat * DEG_TO_RAD).tolist()), float, n)
     kx = EARTH_RADIUS_M * np.maximum(cos_ref, 1e-12)
     lat_col, lon_col, kx_col = lat[:, None], lon[:, None], kx[:, None]
-    ax = (grid.a_lon[pos] - lon_col) * _DEG_TO_RAD * kx_col
-    ay = (grid.a_lat[pos] - lat_col) * _DEG_TO_RAD * EARTH_RADIUS_M
-    bx = (grid.b_lon[pos] - lon_col) * _DEG_TO_RAD * kx_col
-    by = (grid.b_lat[pos] - lat_col) * _DEG_TO_RAD * EARTH_RADIUS_M
+    ax = (grid.a_lon[pos] - lon_col) * DEG_TO_RAD * kx_col
+    ay = (grid.a_lat[pos] - lat_col) * DEG_TO_RAD * EARTH_RADIUS_M
+    bx = (grid.b_lon[pos] - lon_col) * DEG_TO_RAD * kx_col
+    by = (grid.b_lat[pos] - lat_col) * DEG_TO_RAD * EARTH_RADIUS_M
     dx = bx - ax
     dy = by - ay
     seg_len2 = dx * dx + dy * dy
@@ -340,8 +355,8 @@ def nearest_segment(
     hit = filled[rows, best] & (dist <= max_snap_distance_m)
     snaps = SnapResult(np.where(hit, grid.segment_ids[pos[rows, best]], -1),
                        np.where(hit, dist, math.nan),
-                       np.where(hit, lat + (cy / EARTH_RADIUS_M) * _RAD_TO_DEG, math.nan),
-                       np.where(hit, lon + (cx / kx) * _RAD_TO_DEG, math.nan))
+                       np.where(hit, lat + (cy / EARTH_RADIUS_M) * RAD_TO_DEG, math.nan),
+                       np.where(hit, lon + (cx / kx) * RAD_TO_DEG, math.nan))
     if scalar:
         return snaps.at(0) if hit[0] else None
     return snaps
@@ -364,67 +379,93 @@ def travel_direction(
 
 def snap_trips(
     trips: Sequence[Trip], network: RoadNetwork, max_snap_distance_m: float
-) -> Iterator[SnapResult]:
-    """Each trip's snaps, in order, from one nearest_segment call per chunk.
+) -> Iterator[tuple[Sequence[Trip], SnapResult]]:
+    """Runs of consecutive whole trips, in order, each with the snaps of its
+    points, trip after trip.
 
-    A chunk is a run of consecutive whole trips, grown while the next
-    trip still fits in CHUNK_POINTS points; a longer trip is a chunk of
-    its own. Each trip's SnapResult is a view of its chunk's arrays. A
-    point's snap does not depend on the other points of its call, so it
-    equals nearest_segment on the trip alone. Chunks are snapped as the
-    results are consumed, so only one chunk is held at a time.
+    A chunk of trips is grown while the next trip still fits in
+    CHUNK_POINTS points (a longer trip is a chunk of its own) and snapped
+    in one nearest_segment call; a run is grown from chunks while the next
+    still fits in RUN_POINTS points. A point's snap does not depend on the
+    other points of its call, so it equals nearest_segment on the trip
+    alone. Runs are snapped as they are consumed, so one is held at a time.
     """
-    start = 0
+    start, run, snaps, run_size = 0, [], [], 0
     while start < len(trips):
         stop, size = start + 1, len(trips[start])
         while stop < len(trips) and size + len(trips[stop]) <= CHUNK_POINTS:
             size += len(trips[stop])
             stop += 1
-        run = trips[start:stop]
-        snaps = nearest_segment(np.concatenate([t.lat for t in run]),
-                                np.concatenate([t.lon for t in run]),
-                                network, max_snap_distance_m)
-        ends = np.cumsum([len(t) for t in run]).tolist()
-        for a, b in zip([0] + ends, ends):
-            yield SnapResult(snaps.segment_id[a:b], snaps.distance_m[a:b],
-                             snaps.lat[a:b], snaps.lon[a:b])
+        chunk = trips[start:stop]
+        if run and run_size + size > RUN_POINTS:
+            yield run, SnapResult(*map(np.concatenate, zip(*snaps)))
+            run, snaps, run_size = [], [], 0
+        got = nearest_segment(np.concatenate([t.lat for t in chunk]),
+                              np.concatenate([t.lon for t in chunk]), network, max_snap_distance_m)
+        run += chunk
+        run_size += size
+        snaps.append((got.segment_id, got.distance_m, got.lat, got.lon))
         start = stop
+    if run:
+        yield run, SnapResult(*map(np.concatenate, zip(*snaps)))
 
 
 def match_trip(
-    trip: Trip, network: RoadNetwork, config: AnalysisConfig,
+    trip: Union[Trip, Sequence[Trip]], network: RoadNetwork, config: AnalysisConfig,
     snaps: Optional[SnapResult] = None,
 ) -> MatchedTrip:
-    """Turn a trip's snaps into its matched points and directed edges.
+    """Turn the snaps of one trip, or of a run of trips, into matched points
+    and directed edges.
 
-    `snaps` holds the array snaps of the trip's points at
-    config.max_snap_distance_m, as snap_trips gives them; without it the
-    trip is snapped here, in one nearest_segment call on its lat/lon
-    columns. Points with no segment in range are dropped. The trip is
-    rejected when nothing matches or when the matched fraction falls
-    below config.min_matched_fraction.
+    `snaps` holds the array snaps of the points at
+    config.max_snap_distance_m, trip after trip, as snap_trips gives them;
+    without it the points are snapped here, in one nearest_segment call.
+    Points with no segment in range are dropped. A trip is rejected when
+    nothing matches or when its matched fraction falls below
+    config.min_matched_fraction. A run gives one MatchedTrip of its
+    matched trips, which lists the rejected ones.
 
     Raises:
-        MatchRejected: reason "empty_match" or "poor_match".
+        MatchRejected: one trip rejected, reason "empty_match" or "poor_match".
         ValueError: a point snapped to a zero-length segment, whose
-            direction is undefined.
+            direction is undefined; checked over every snapped point,
+            rejected trips' included, before any rejection.
     """
-    n = len(trip)
+    one = isinstance(trip, Trip)
+    run = [trip] if one else trip
     if snaps is None:
-        snaps = nearest_segment(trip.lat, trip.lon, network, config.max_snap_distance_m)
-    kept = np.flatnonzero(snaps.segment_id >= 0)
-    grid = _grid_of(network)
-    pos = np.searchsorted(grid.segment_ids, snaps.segment_id[kept])
-    bearing = grid.bearing[pos]
+        snaps = nearest_segment(np.concatenate([t.lat for t in run]),
+                                np.concatenate([t.lon for t in run]),
+                                network, config.max_snap_distance_m)
+    grid = grid_of(network)
+    sizes = np.array([len(t.lat) for t in run])
+    point_trip = np.repeat(np.arange(len(run)), sizes)
+    hit = np.flatnonzero(snaps.segment_id >= 0)
+    bearing = grid.bearing[np.searchsorted(grid.segment_ids, snaps.segment_id[hit])]
     if np.isnan(bearing).any():
         raise ValueError("undefined bearing: a point snapped to a zero-length segment")
 
-    fraction = len(kept) / n
-    if not len(kept):
-        raise MatchRejected("empty_match", trip.driver_id, trip.trip_id, 0, fraction)
-    if fraction < config.min_matched_fraction:
-        raise MatchRejected("poor_match", trip.driver_id, trip.trip_id, len(kept), fraction)
-
-    return MatchedTrip(trip, kept, grid.segment_ids[pos],
-                       travel_direction(trip.cog_deg[kept], bearing),
-                       snaps.at(kept[0]), snaps.at(kept[-1]), fraction)
+    n_matched = np.bincount(point_trip[hit], minlength=len(run))
+    fraction = n_matched / sizes
+    poor = fraction < config.min_matched_fraction
+    reason = np.where(n_matched == 0, "empty_match", np.where(poor, "poor_match", "")).tolist()
+    if one and reason[0]:
+        raise MatchRejected(reason[0], trip.driver_id, trip.trip_id, int(n_matched[0]),
+                            float(fraction[0]))
+    accepted = (n_matched > 0) & ~poor
+    on = accepted[point_trip[hit]]
+    kept = hit[on]
+    owner = point_trip[kept]
+    # each matched trip's first and last points: where its run of owners starts and ends
+    first = snaps.take(kept[np.flatnonzero(np.diff(owner, prepend=-1))])
+    last = snaps.take(kept[np.flatnonzero(np.diff(owner, append=len(run)))])
+    direction = travel_direction(np.concatenate([t.cog_deg for t in run])[kept], bearing[on])
+    if one:
+        return MatchedTrip(trip, kept, snaps.segment_id[kept], direction, first.at(0), last.at(0),
+                           float(fraction[0]))
+    # the points of rejected trips before a point are not in the matched trips' columns
+    skipped = np.cumsum(np.where(accepted, 0, sizes))
+    return MatchedTrip(
+        [t for t, ok in zip(run, accepted.tolist()) if ok], kept - skipped[owner],
+        snaps.segment_id[kept], direction, first, last, fraction[accepted],
+        [(r, t.driver_id, t.trip_id, n) for t, r, n in zip(run, reason, n_matched.tolist()) if r])

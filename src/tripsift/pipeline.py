@@ -2,11 +2,11 @@
 
 The run is a chain of named stages, most of which the match and score
 subcommands also call on their own: ingest_inputs (network and trips,
-with hard events derived when the file has none), match_all (every
-trip, snapped in chunks of many trips, results in input order),
-match_and_build (match_all plus each matched trip's graph, over runs of
-consecutive trips in up to `workers` processes) and score_and_write
-(forest scores, driver ranking, score files). Each stage adds its time
+with hard events derived when the file has none), match_and_build
+(every trip matched and every matched trip's Edge-Attributed Matrix
+built, one chunk of consecutive trips at a time, over runs of trips in
+up to `workers` processes) and score_and_write (forest scores, driver
+ranking, score files). Each stage adds its time
 to a StageLog, which also keeps the peak RSS of the process and its
 worker processes as the stage ended, also when the stage raised.
 
@@ -33,7 +33,7 @@ from .features import FeatureTable, extract_feature_table, write_feature_table
 from .forked import process_count, run_parts
 from .iforest import IForestModel, save_model, threshold_from_contamination
 from .ingest import IngestReport, parse_road_network, parse_trips, removed_on_failure
-from .matching import MatchedTrip, MatchRejected, match_trip, snap_trips
+from .matching import match_trip, snap_trips
 from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
                       write_driver_report, write_trip_scores)
@@ -130,42 +130,24 @@ def ingest_inputs(
     return network, trips, report
 
 
-def match_all(
-    trips: list[Trip],
-    network: RoadNetwork,
-    config: AnalysisConfig,
-    stages: StageLog,
-) -> list[Union[MatchedTrip, MatchRejected]]:
-    """Match every trip; each result is the matched trip or its rejection, in input order.
-
-    The points of runs of trips are snapped together (snap_trips), then
-    each trip's snaps are matched on their own (match_trip).
-    """
-    results: list[Union[MatchedTrip, MatchRejected]] = []
-    with stages.timed("match"):
-        for trip, snaps in zip(trips, snap_trips(trips, network, config.max_snap_distance_m)):
-            try:
-                results.append(match_trip(trip, network, config, snaps))
-            except MatchRejected as exc:
-                results.append(exc)
-    return results
-
-
 def match_and_build(
     trips: list[Trip],
     network: RoadNetwork,
     config: AnalysisConfig,
     stages: StageLog,
     workers: int = 1,
-) -> tuple[list[TripGraph], list[tuple[str, int, int]], int]:
+) -> tuple[TripGraph, list[tuple[str, int, int, int]]]:
     """Match every trip and build the graph of each matched one, in up to
-    `workers` processes; return the graphs and each rejection as (reason,
-    driver_id, trip_id), both in input order, and the matched-point count.
+    `workers` processes; return the graphs, as one many-trip TripGraph, and
+    each rejection as (reason, driver_id, trip_id, n_matched), both in
+    input order.
 
     The trips are cut into runs of consecutive trips holding about equal
     numbers of points. Each run is matched and built on its own, the first
     in this process and the others in forked children, and the runs are
-    joined in order, so the result is the same for any workers. The whole
+    joined in order, so the result is the same for any workers. Within a
+    run, each chunk of trips that snap_trips snaps together is matched
+    (match_trip) and built (build_trip_graph) as one run. The whole
     split is timed as "match", less the first run's graph building, which
     is added to "graphs" when any trip matched.
 
@@ -175,13 +157,13 @@ def match_and_build(
     runs = _trip_runs(trips, process_count(workers))
     with stages.timed("match"):
         parts = run_parts(_match_and_build_run, [(trips[lo:hi], network, config) for lo, hi in runs])
-    graph_runs, rejected_runs, point_counts, graphs_seconds = zip(*parts)
-    graphs = [g for run in graph_runs for g in run]
+    graph_runs, rejected_runs, graphs_seconds = zip(*parts)
+    graphs = TripGraph.join(graph_runs)
     # the first run built its graphs in this process: that time is the graphs stage's
     stages.add("match", -graphs_seconds[0])
-    if graphs:
+    if len(graphs.driver_id):
         stages.add("graphs", graphs_seconds[0])
-    return graphs, [r for run in rejected_runs for r in run], sum(point_counts)
+    return graphs, [r for run in rejected_runs for r in run]
 
 
 def _trip_runs(trips: list[Trip], n: int) -> list[tuple[int, int]]:
@@ -196,16 +178,17 @@ def _trip_runs(trips: list[Trip], n: int) -> list[tuple[int, int]]:
 
 def _match_and_build_run(
     trips: list[Trip], network: RoadNetwork, config: AnalysisConfig,
-) -> tuple[list[TripGraph], list[tuple[str, int, int]], int, float]:
-    """One run's graphs, rejections and matched-point count, as plain data a
-    forked part sends back, and the seconds its graph building took."""
+) -> tuple[TripGraph, list[tuple[str, int, int, int]], float]:
+    """One run's graphs and rejections, as plain data a forked part sends
+    back, and the seconds its graph building took."""
     stages = StageLog()
-    results = match_all(trips, network, config, stages)
-    matched = [r for r in results if isinstance(r, MatchedTrip)]
-    with stages.timed("graphs"):
-        graphs = [build_trip_graph(m, network) for m in matched]
-    rejected = [(r.reason, r.driver_id, r.trip_id) for r in results if isinstance(r, MatchRejected)]
-    return graphs, rejected, sum(len(m.kept) for m in matched), stages.seconds["graphs"]
+    graphs, rejected = [], []
+    for chunk, snaps in snap_trips(trips, network, config.max_snap_distance_m):
+        matched = match_trip(chunk, network, config, snaps)
+        rejected += matched.rejected
+        with stages.timed("graphs"):
+            graphs.append(build_trip_graph(matched, network))
+    return TripGraph.join(graphs), rejected, stages.seconds.get("graphs", 0.0)
 
 
 def score_and_write(
@@ -267,9 +250,10 @@ def run_pipeline(
     those stages splits into independent parts (byte ranges of the file,
     runs of consecutive trips, runs of trees) computed at the same time,
     the first in this process and the others in forked children, and
-    joined in order, so every output is the same for any workers. Events,
-    the minimum-length filter and features run in this process, one trip
-    after another, as they need every trip. The stage times and peaks go
+    joined in order, so every output is the same for any workers. Events
+    run in this process, one trip after another; the minimum-length filter
+    and the features run in this process as array passes over the joined
+    graphs. The stage times and peaks go
     into `stages` when it is given, so the caller keeps them when the run
     fails.
 
@@ -303,21 +287,21 @@ def _run(
     if not trips:
         raise EmptyPipelineError("no trips parsed from input")
 
-    graphs, rejected, n_points_matched = match_and_build(trips, network, config, stages, workers)
+    graphs, rejected = match_and_build(trips, network, config, stages, workers)
     rejections: dict[str, int] = {}
-    for reason, driver_id, trip_id in rejected:
+    for reason, driver_id, trip_id, _ in rejected:
         rejections[reason] = rejections.get(reason, 0) + 1
         log.debug("match rejected (%s): driver %d trip %d", reason, driver_id, trip_id)
     log.info("match: %d trips matched, %d rejected %s",
-             len(graphs), len(rejected), rejections or "")
-    if not graphs:
+             len(graphs.driver_id), len(rejected), rejections or "")
+    if not len(graphs.driver_id):
         raise EmptyPipelineError("no trips matched the network")
 
     with stages.timed("graphs"):
         kept, dropped = filter_by_min_length(graphs, config.alpha)
     log.info("graphs: %d trips kept, %d below min length %.1f m",
-             len(kept), len(dropped), config.alpha)
-    if not kept:
+             len(kept.driver_id), len(dropped.driver_id), config.alpha)
+    if not len(kept.driver_id):
         raise EmptyPipelineError(f"no trips pass the minimum length filter (alpha={config.alpha})")
 
     with stages.timed("features"):
@@ -335,8 +319,8 @@ def _run(
         ingest_report=report,
         n_match_rejected=len(rejected),
         match_rejections=rejections,
-        n_points_matched=n_points_matched,
-        n_alpha_dropped=len(dropped),
+        n_points_matched=int(graphs.n_points.sum()),
+        n_alpha_dropped=len(dropped.driver_id),
         table=table,
         trip_scores=trip_scores,
         driver_reports=reports,

@@ -8,49 +8,102 @@ course resultant and traversal sequence. The matrix is held as columns,
 one list per attribute with one entry per row. A traversal is a maximal
 consecutive run of points on the same directed edge; the sequence
 lists the row index of each traversal in time order.
+
+A TripGraph also holds many trips, each field as one array over them,
+which build_trip_graph makes from a run's matched trips in array passes:
+rows from the unique (trip, segment, direction) keys, traversals from
+key changes, sums from np.bincount in point order and trigonometry from
+math. So each trip's matrix is bit for bit the one it gets when built
+alone, as a run of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import warnings
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geo import circular_mean_deg, haversine_m, mean_resultant_length
+from .geo import DEG_TO_RAD, RAD_TO_DEG, haversine_m
 from .ingest import write_csv
-from .matching import MatchedTrip
+from .matching import MatchedTrip, grid_of
+from .model import Trip
 
 MATRIX_CSV_COLUMNS = [
     "segment_id", "direction", "avg_speed_mps", "avg_dir_deg",
     "length_m", "n_brakes", "n_accels", "n_traversals", "n_points",
 ]
 
+# the TripGraph fields with one entry per matrix row, and those holding floats
+ROW_FIELDS = ("segment_id", "direction", "avg_speed_mps", "avg_direction_deg", "length_m",
+              "n_hard_brakes", "n_hard_accels", "n_traversals", "n_points")
+_FLOAT_FIELDS = ("avg_speed_mps", "avg_direction_deg", "length_m", "trip_length_m",
+                 "net_displacement_m", "cog_resultant")
+
 
 @dataclass
 class TripGraph:
-    """One trip's Edge-Attributed Matrix, column by column, and its trip-wide statistics.
+    """Edge-Attributed Matrices, column by column, with trip-wide statistics:
+    one trip's as lists and scalars, or many trips' as arrays, each field
+    joined over the trips.
 
-    The matrix columns are the lists from segment_id to n_points, one entry
-    per row, rows in order of first traversal.
+    The matrix columns are the ROW_FIELDS, one entry per row, rows in order
+    of first traversal. In the many-trip form trip i's rows are the next
+    n_rows[i] entries of those columns and its traversals the next
+    n_runs[i] entries of traversal_sequence, whose row indices count from
+    the trip's own first row; the one-trip form has no n_rows or n_runs.
     """
 
-    driver_id: int
-    trip_id: int
-    segment_id: list[int]
-    direction: list[int]
-    avg_speed_mps: list[float]
-    avg_direction_deg: list[float]
-    length_m: list[float]
-    n_hard_brakes: list[int]
-    n_hard_accels: list[int]
-    n_traversals: list[int]
-    n_points: list[int]
-    trip_length_m: float
-    net_displacement_m: float
-    traversal_sequence: list[int]       # row index of each maximal run, in time order
-    cog_resultant: float                # mean resultant length of all point courses
+    driver_id: Union[int, np.ndarray]
+    trip_id: Union[int, np.ndarray]
+    segment_id: Union[list[int], np.ndarray]
+    direction: Union[list[int], np.ndarray]
+    avg_speed_mps: Union[list[float], np.ndarray]
+    avg_direction_deg: Union[list[float], np.ndarray]
+    length_m: Union[list[float], np.ndarray]
+    n_hard_brakes: Union[list[int], np.ndarray]
+    n_hard_accels: Union[list[int], np.ndarray]
+    n_traversals: Union[list[int], np.ndarray]
+    n_points: Union[list[int], np.ndarray]
+    trip_length_m: Union[float, np.ndarray]
+    net_displacement_m: Union[float, np.ndarray]
+    traversal_sequence: Union[list[int], np.ndarray]  # row index of each maximal run, in time order
+    cog_resultant: Union[float, np.ndarray]           # mean resultant length of all point courses
+    n_rows: Optional[np.ndarray] = None
+    n_runs: Optional[np.ndarray] = None
+
+    @staticmethod
+    def join(graphs: Sequence[TripGraph]) -> TripGraph:
+        """The many-trip form of these graphs, of either form, in order."""
+        columns = {}
+        for f in fields(TripGraph):
+            dtype = float if f.name in _FLOAT_FIELDS else np.int64
+            listed = f.name in ROW_FIELDS or f.name == "traversal_sequence"
+            columns[f.name] = np.concatenate([np.empty(0, dtype)] + [
+                getattr(g, f.name) if g.n_rows is not None or listed
+                else [len(g.segment_id)] if f.name == "n_rows"
+                else [len(g.traversal_sequence)] if f.name == "n_runs"
+                else [getattr(g, f.name)] for g in graphs], dtype=dtype)
+        return TripGraph(**columns)
+
+    def take(self, keep: np.ndarray) -> TripGraph:
+        """The trips of the many-trip form where the boolean mask keep is set."""
+        rows, runs = np.repeat(keep, self.n_rows), np.repeat(keep, self.n_runs)
+        return TripGraph(**{f.name: getattr(self, f.name)[
+            rows if f.name in ROW_FIELDS else runs if f.name == "traversal_sequence" else keep]
+            for f in fields(self)})
+
+    def split(self) -> list[TripGraph]:
+        """Each trip of the many-trip form in the one-trip form, in order."""
+        columns = {f.name: getattr(self, f.name).tolist() for f in fields(self)[:-2]}
+        rows, runs = np.cumsum(self.n_rows).tolist(), np.cumsum(self.n_runs).tolist()
+        return [TripGraph(**{name: values[r0:r1] if name in ROW_FIELDS else
+                             values[s0:s1] if name == "traversal_sequence" else values[i]
+                             for name, values in columns.items()})
+                for i, (r0, r1, s0, s1) in enumerate(zip([0] + rows, rows, [0] + runs, runs))]
 
 
 def detect_events(
@@ -86,80 +139,100 @@ def detect_events(
 
 
 def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
-    """Aggregate a matched trip into its edge-attributed matrix.
+    """Aggregate a matched trip into its edge-attributed matrix, or the
+    matched trips of a run into theirs, in the many-trip form.
 
     Rows appear in order of first traversal. Trip length sums the full
     segment length once per traversal; net displacement is the
     great-circle distance between the first and last snapped points.
-    The matched points are walked one by one over plain lists of their
-    columns: on trips of a few dozen points that costs less than the
-    fixed cost of the numpy calls a vectorised form needs.
     """
-    trip, kept = matched.trip, matched.kept
-    if not len(kept):
-        raise ValueError(f"trip ({trip.driver_id},{trip.trip_id}) has no matched points")
+    one = isinstance(matched.trip, Trip)
+    trips = [matched.trip] if one else matched.trip
+    if one and not len(matched.kept):
+        raise ValueError(f"trip ({trips[0].driver_id},{trips[0].trip_id}) has no matched points")
+    grid = grid_of(network)
+    n = len(trips)
+    trip = np.repeat(np.arange(n), [len(t.lat) for t in trips])[matched.kept]
 
-    point_cogs = trip.cog_deg[kept].tolist()
-    index: dict[tuple[int, int], int] = {}
-    speed_sums: list[float] = []
-    cogs: list[list[float]] = []
-    brakes: list[int] = []
-    accels: list[int] = []
-    sequence: list[int] = []
-    for key, speed, cog, brake, accel in zip(
-            zip(matched.segment_id.tolist(), matched.direction.tolist()),
-            trip.speed_mps[kept].tolist(), point_cogs,
-            trip.hard_brake[kept].tolist(), trip.hard_accel[kept].tolist()):
-        i = index.setdefault(key, len(index))
-        if i == len(cogs):
-            speed_sums.append(0.0)
-            cogs.append([])
-            brakes.append(0)
-            accels.append(0)
-        speed_sums[i] += speed
-        cogs[i].append(cog)
-        brakes[i] += brake
-        accels[i] += accel
-        if not sequence or sequence[-1] != i:
-            sequence.append(i)
+    def column(name):
+        return np.concatenate([np.empty(0, np.int64)] + [getattr(t, name) for t in trips])[
+            matched.kept]
 
-    length_m = [network.segments[segment].length_m for segment, _ in index]
-    n_traversals = [0] * len(index)
-    trip_length = 0.0
-    for i in sequence:
-        n_traversals[i] += 1
-        trip_length += length_m[i]
+    # rows: one per (trip, segment, direction) key, numbered in order of first traversal
+    pos = np.searchsorted(grid.segment_ids, matched.segment_id)
+    key = (trip * len(grid.segment_ids) + pos) * 2 + (matched.direction > 0)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    row, first = rank[inverse], first[order]
+    m = len(first)
+    row_count = np.bincount(trip[first], minlength=n)
+    # traversals: maximal runs of points on one row
+    run_start = np.flatnonzero(np.diff(row, prepend=-1))
+    run_row, run_trip = row[run_start], trip[run_start]
+    length = grid.length_m[pos[first]]
+    brakes, accels = np.zeros(m, np.int64), np.zeros(m, np.int64)
+    np.add.at(brakes, row, column("hard_brake"))
+    np.add.at(accels, row, column("hard_accel"))
 
-    n_points = [len(row_cogs) for row_cogs in cogs]
-    first = matched.first_snap
-    last = matched.last_snap
-    return TripGraph(
-        driver_id=trip.driver_id,
-        trip_id=trip.trip_id,
-        segment_id=[segment for segment, _ in index],
-        direction=[direction for _, direction in index],
-        avg_speed_mps=[s / n for s, n in zip(speed_sums, n_points)],
-        avg_direction_deg=[circular_mean_deg(row_cogs) for row_cogs in cogs],
-        length_m=length_m,
+    # a row's circular mean course; where its courses cancel, its first course.
+    # math over lists, not numpy's ufuncs, which may run float64 trig in SIMD
+    # code that differs from math in the last bit
+    cog = column("cog_deg")
+    radians = (cog * DEG_TO_RAD).tolist()
+    cos = np.fromiter(map(math.cos, radians), float, len(cog))
+    sin = np.fromiter(map(math.sin, radians), float, len(cog))
+    n_points = np.bincount(row, minlength=m)
+    sx, sy = np.bincount(row, cos, m), np.bincount(row, sin, m)
+    degenerate = _hypot(sx, sy) / n_points < 1e-9
+    if degenerate.any():
+        warnings.warn("degenerate mean: opposed angles cancel", RuntimeWarning, stacklevel=2)
+    mean = np.fmod(np.where(degenerate, cog[first], RAD_TO_DEG * np.fromiter(
+        map(math.atan2, sy.tolist(), sx.tolist()), float, m)), 360.0)
+    mean = np.where(mean < 0.0, mean + 360.0, mean)
+    resultant = (_hypot(np.bincount(trip, cos, n), np.bincount(trip, sin, n))
+                 / np.bincount(trip, minlength=n))
+    ends = [np.atleast_1d(v).tolist() for s in (matched.first_snap, matched.last_snap)
+            for v in (s.lat, s.lon)]
+    graphs = TripGraph(
+        driver_id=np.array([t.driver_id for t in trips], np.int64),
+        trip_id=np.array([t.trip_id for t in trips], np.int64),
+        segment_id=matched.segment_id[first],
+        direction=matched.direction[first],
+        avg_speed_mps=np.bincount(row, column("speed_mps"), m) / n_points,
+        avg_direction_deg=np.where(mean == 360.0, 0.0, mean),
+        length_m=length,
         n_hard_brakes=brakes,
         n_hard_accels=accels,
-        n_traversals=n_traversals,
+        n_traversals=np.bincount(run_row, minlength=m),
         n_points=n_points,
-        trip_length_m=trip_length,
-        net_displacement_m=haversine_m(first.lat, first.lon, last.lat, last.lon),
-        traversal_sequence=sequence,
-        cog_resultant=mean_resultant_length(point_cogs),
+        trip_length_m=np.bincount(run_trip, length[run_row], n),
+        net_displacement_m=np.fromiter(map(haversine_m, *ends), float, n),
+        traversal_sequence=run_row - (np.cumsum(row_count) - row_count)[run_trip],
+        cog_resultant=np.where(resultant < 1.0, resultant, 1.0),
+        n_rows=row_count,
+        n_runs=np.bincount(run_trip, minlength=n),
     )
+    return graphs.split()[0] if one else graphs
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
 def filter_by_min_length(
-    graphs: Sequence[TripGraph], alpha: float
-) -> tuple[list[TripGraph], list[TripGraph]]:
-    """Split trips into (kept, dropped) by the strict minimum-length rule.
+    graphs: Union[TripGraph, Sequence[TripGraph]], alpha: float
+) -> tuple[Union[TripGraph, list[TripGraph]], Union[TripGraph, list[TripGraph]]]:
+    """Split trips into (kept, dropped) by the strict minimum-length rule:
+    a many-trip TripGraph into two, or a sequence of graphs into two lists.
 
     A trip is kept iff trip_length > alpha; a trip exactly alpha long
     is dropped.
     """
+    if isinstance(graphs, TripGraph):
+        keep = graphs.trip_length_m > alpha
+        return graphs.take(keep), graphs.take(~keep)
     kept = [g for g in graphs if g.trip_length_m > alpha]
     dropped = [g for g in graphs if not g.trip_length_m > alpha]
     return kept, dropped

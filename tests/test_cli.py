@@ -11,8 +11,11 @@ import pytest
 import tripsift
 from tripsift.cli import (ANALYSIS_OPTIONS, GENERATE_OPTIONS, MATCH_OPTIONS, PIPELINE_OPTIONS,
                           SCORE_OPTIONS, build_config, build_parser, main, resolve_options)
+from tripsift.matching import MatchRejected, match_trip
 from tripsift.model import AnalysisConfig
-from tripsift.synth import SynthSpec
+from tripsift.pipeline import StageLog, ingest_inputs
+from tripsift.synth import SynthSpec, generate_dataset
+from tripsift.tripgraph import build_trip_graph, write_matrix_csv
 
 GEN_ARGS = ["--rows", "4", "--cols", "4", "--drivers", "4",
             "--trips-per-driver", "3", "--abnormal-fraction", "0.25", "--seed", "5"]
@@ -272,14 +275,68 @@ def test_match_reports_matched_count_of_poor_match(tmp_path):
     assert lines[1] == "1,1,4,2,0.5000,poor_match"
 
 
-def test_pipeline_help_says_what_workers_does(capsys):
-    assert main(["pipeline", "--help"]) == 0
-    out = capsys.readouterr().out
-    start = next(i for i, line in enumerate(out.splitlines()) if line.strip().startswith("--workers"))
-    text = " ".join(line.strip() for line in out.splitlines()[start:start + 4])
-    assert "ignored" not in text
-    for phrase in ("processes", "trips file", "forest", "usable CPUs", "(default 1)"):
-        assert phrase in text
+def degraded_copy(data, out):
+    """The dataset's trips.csv with, by trip in file order, points moved
+    about 110 km off the network: every point of the first trip
+    (empty_match), one of the second (matched with an unsnapped point) and
+    every other one of the third (poor_match). Returns the new trips.csv path."""
+    lines = data.trips_path.read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    lat = header.index("lat")
+    keys = list(dict.fromkeys((row[0], row[1]) for row in rows))
+    of_trip = {key: [row for row in rows if (row[0], row[1]) == key] for key in keys[:3]}
+    for row in of_trip[keys[0]] + of_trip[keys[1]][2:3] + of_trip[keys[2]][::2]:
+        row[lat] = repr(float(row[lat]) + 1.0)
+    path = out / "trips.csv"
+    path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_match_outputs_equal_one_trip_match_and_build(tmp_path, degraded):
+    """matched_trips.csv holds, per trip, what match_trip on that trip alone
+    gives, and each matrix file is write_matrix_csv of its build_trip_graph."""
+    data = generate_dataset(SynthSpec(rng_seed=1), tmp_path / "data")
+    trips_path = degraded_copy(data, tmp_path) if degraded else data.trips_path
+    out = tmp_path / "match"
+    assert main(["match", "--network", str(tmp_path / "data"), "--trips", str(trips_path),
+                 "--out", str(out)]) == 0
+
+    config = AnalysisConfig()
+    network, trips, _ = ingest_inputs(data.nodes_path, data.segments_path, trips_path, config,
+                                      StageLog())
+    rows, matrices = [], {}
+    for trip in trips:
+        try:
+            matched = match_trip(trip, network, config)
+        except MatchRejected as exc:
+            n, fraction, status = exc.n_matched, exc.matched_fraction, exc.reason
+        else:
+            n, fraction, status = len(matched.kept), matched.matched_fraction, "matched"
+            name = f"trip_{trip.driver_id}_{trip.trip_id}.csv"
+            write_matrix_csv(build_trip_graph(matched, network), tmp_path / name)
+            matrices[name] = (tmp_path / name).read_bytes()
+        rows.append(f"{trip.driver_id},{trip.trip_id},{len(trip)},{n},{fraction:.4f},{status}")
+    assert (out / "matched_trips.csv").read_text().splitlines()[1:] == rows
+    if degraded:
+        assert [row.rsplit(",", 1)[1] for row in rows[:3]] == ["empty_match", "matched",
+                                                                 "poor_match"]
+        assert rows[1].split(",")[3] == str(len(trips[1]) - 1)
+    assert {p.name: p.read_bytes() for p in (out / "matrices").iterdir()} == matrices
+
+
+def test_pipeline_help_says_what_workers_does(capsys, monkeypatch):
+    for columns in ("40", "60", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)      # argparse wraps help to this width
+        assert main(["pipeline", "--help"]) == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        start = next(i for i, line in enumerate(lines) if line.startswith("--workers"))
+        # the note runs to the next line that starts an option, however it was wrapped
+        end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("-"))
+        text = " ".join(lines[start:end])
+        assert "ignored" not in text
+        for phrase in ("processes", "trips file", "forest", "usable CPUs", "(default 1)"):
+            assert phrase in text, columns
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripsift import matching, pipeline
-from tripsift.geo import EARTH_RADIUS_M, circular_diff_deg, haversine_m, initial_bearing_deg, normalize_bearing_deg
+from tripsift.features import FeatureVector, extract_feature_table, extract_features
+from tripsift.geo import (EARTH_RADIUS_M, circular_diff_deg, circular_mean_deg, haversine_m,
+                          initial_bearing_deg, mean_resultant_length, normalize_bearing_deg)
 from tripsift.matching import (
     MatchedTrip,
     MatchRejected,
@@ -20,6 +23,7 @@ from tripsift.matching import (
     match_trip,
     nearest_segment,
     point_segment_distance,
+    snap_trips,
     travel_direction,
 )
 from tripsift.model import (
@@ -29,7 +33,8 @@ from tripsift.model import (
     RoadSegment,
     Trip,
 )
-from tripsift.pipeline import StageLog, match_all, match_and_build
+from tripsift.pipeline import StageLog, match_and_build
+from tripsift.tripgraph import TripGraph, build_trip_graph, filter_by_min_length
 
 LAT_SCALE_M = 111.19492664455875  # meters per 0.001 deg of latitude
 
@@ -370,8 +375,9 @@ def courses_on(network):
     return courses
 
 
+# fractions of 1/2 and 1 are met exactly by some trips, so both sides of the rule occur
 configs = st.builds(AnalysisConfig, max_snap_distance_m=st.sampled_from([5.0, 50.0, 500.0]),
-                    min_matched_fraction=st.floats(0.01, 1.0))
+                    min_matched_fraction=st.floats(0.01, 1.0) | st.sampled_from([0.5, 1.0]))
 
 
 @st.composite
@@ -432,8 +438,35 @@ def match_or_rejection(trip, network, config):
         return exc
 
 
+def match_chunks(trips, network, config):
+    """Every trip's result in the one-trip form, its MatchedTrip or its
+    MatchRejected, read off the run form that match_trip makes of each
+    chunk snap_trips gives, as the pipeline matches."""
+    results = []
+    for chunk, snaps in snap_trips(trips, network, config.max_snap_distance_m):
+        run = match_trip(chunk, network, config, snaps)
+        rejected = {(driver, trip): (reason, n) for reason, driver, trip, n in run.rejected}
+        ends = np.cumsum([len(t) for t in run.trip])
+        owner = np.searchsorted(ends, run.kept, side="right")
+        j = 0
+        for trip in chunk:
+            if (trip.driver_id, trip.trip_id) in rejected:
+                reason, n = rejected[trip.driver_id, trip.trip_id]
+                results.append(MatchRejected(reason, trip.driver_id, trip.trip_id, n, n / len(trip)))
+                continue
+            assert run.trip[j] is trip
+            own = owner == j
+            results.append(MatchedTrip(trip, run.kept[own] - (ends[j] - len(trip)),
+                                       run.segment_id[own], run.direction[own],
+                                       run.first_snap.at(j), run.last_snap.at(j),
+                                       float(run.matched_fraction[j])))
+            j += 1
+        assert j == len(run.trip) == len(run.first_snap.lat)
+    return results
+
+
 def assert_chunked_run_equals_per_trip(network, trips, config, chunk):
-    """match_all with chunks of `chunk` points gives, for every trip, what
+    """match_trip on chunks of `chunk` points gives, for every trip, what
     match_trip gives on the trip alone, and no nearest_segment call takes
     more than max(chunk, longest trip) points."""
     try:
@@ -444,9 +477,9 @@ def assert_chunked_run_equals_per_trip(network, trips, config, chunk):
             mock.patch.object(matching, "nearest_segment", wraps=matching.nearest_segment) as calls:
         if isinstance(want, ValueError):
             with pytest.raises(ValueError, match=str(want)):
-                match_all(trips, network, config, StageLog())
+                match_chunks(trips, network, config)
             return
-        got = match_all(trips, network, config, StageLog())
+        got = match_chunks(trips, network, config)
     sizes = [len(c.args[0]) for c in calls.call_args_list]
     assert max(sizes) <= max(chunk, *map(len, trips))
     assert sum(sizes) == sum(map(len, trips))
@@ -476,8 +509,9 @@ def test_random_chunked_match_all_equals_per_trip_match(case):
 @given(run_cases(), st.integers(2, 4))
 def test_random_split_match_and_build_equals_one_part(case, workers):
     """Cut into runs of trips matched and built in 2-4 forked parts, the run
-    joins into the one-part run's graphs (every field), rejections in input
-    order and matched-point count, or raises its ValueError."""
+    joins into the one-part run's graphs (every field, bit for bit, the
+    matched-point counts n_points included) and rejections in input order,
+    or raises its ValueError."""
     network, trips, config, chunk = case
     with mock.patch.object(matching, "CHUNK_POINTS", chunk):
         try:
@@ -490,7 +524,159 @@ def test_random_split_match_and_build_equals_one_part(case, workers):
                     match_and_build(trips, network, config, StageLog(), workers)
                 return
             many = match_and_build(trips, network, config, StageLog(), workers)
-    assert many == one
+    assert_same_graphs(many[0], one[0])
+    assert many[1] == one[1]
+
+
+def assert_same_graphs(got, want):
+    """Every field of two many-trip graphs equal, dtype and bits included."""
+    for name in TripGraph.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def feature_cases(draw):
+    """A snap_cases network and 1-6 trips through its query points with
+    random speeds, courses and event counts, where a trip may be a U-turn:
+    two points at a segment's midpoint whose courses, perpendicular to it,
+    fall on one row and cancel there. Also a config, a chunk size of 1-50
+    points, a run size of 1-200 points, and a trip index whose exact
+    length becomes alpha."""
+    network, queries = draw(snap_cases())
+    courses = courses_on(network)
+    trips = []
+    for k in range(draw(st.integers(1, 6))):
+        seg = draw(st.sampled_from(sorted(network.segments)))
+        a, b = network.segment_endpoints(seg)
+        if (a.lat, a.lon) != (b.lat, b.lon) and draw(st.booleans()):
+            turn = initial_bearing_deg(a.lat, a.lon, b.lat, b.lon)
+            spots = [((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)] * 2
+            cogs = [normalize_bearing_deg(turn + 90.0), normalize_bearing_deg(turn - 90.0)]
+        else:
+            spots = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=40))
+            cogs = [draw(courses) for _ in spots]
+        trip = line_trip(spots, cogs, trip=k)
+        trip.speed_mps = np.array(draw(st.lists(st.floats(0.0, 40.0), min_size=len(spots),
+                                                max_size=len(spots))))
+        for name in ("hard_accel", "hard_brake"):
+            setattr(trip, name, np.array(draw(st.lists(st.integers(0, 3), min_size=len(spots),
+                                                       max_size=len(spots)))))
+        trips.append(trip)
+    return (network, trips, draw(configs), draw(st.integers(1, 50)), draw(st.integers(1, 200)),
+            draw(st.integers(0, len(trips) - 1)))
+
+
+def added(values):
+    """values summed one after another from 0.0, as the matrices are summed."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def reference_graph(matched, network):
+    """One trip's TripGraph by a walk over its matched points: rows in order
+    of first traversal, sums added point by point, courses averaged with
+    geo.circular_mean_deg and mean_resultant_length."""
+    trip, kept = matched.trip, matched.kept
+    rows, sequence = {}, []
+    for key, speed, cog, brake, accel in zip(
+            zip(matched.segment_id.tolist(), matched.direction.tolist()),
+            trip.speed_mps[kept].tolist(), trip.cog_deg[kept].tolist(),
+            trip.hard_brake[kept].tolist(), trip.hard_accel[kept].tolist()):
+        speeds, cogs, events = rows.setdefault(key, ([], [], [0, 0]))
+        speeds.append(speed)
+        cogs.append(cog)
+        events[0] += brake
+        events[1] += accel
+        if not sequence or sequence[-1] != list(rows).index(key):
+            sequence.append(list(rows).index(key))
+    keys, values = list(rows), list(rows.values())
+    length = [network.segments[segment].length_m for segment, _ in keys]
+    first, last = matched.first_snap, matched.last_snap
+    return TripGraph(
+        trip.driver_id, trip.trip_id, [k[0] for k in keys], [k[1] for k in keys],
+        [added(speeds) / len(speeds) for speeds, _, _ in values],
+        [circular_mean_deg(cogs) for _, cogs, _ in values], length,
+        [events[0] for _, _, events in values], [events[1] for _, _, events in values],
+        [sequence.count(i) for i in range(len(keys))], [len(cogs) for _, cogs, _ in values],
+        added(length[i] for i in sequence), haversine_m(first.lat, first.lon, last.lat, last.lon),
+        sequence, mean_resultant_length(trip.cog_deg[kept].tolist()))
+
+
+def reference_features(g):
+    """The ten features of a one-trip graph, term by term, sums added in order."""
+    km, rows = g.trip_length_m / 1000.0, len(g.segment_id)
+    turns = (circular_diff_deg(g.avg_direction_deg[a], g.avg_direction_deg[b])
+             for a, b in zip(g.traversal_sequence, g.traversal_sequence[1:]))
+    return FeatureVector(
+        min(1.0, g.net_displacement_m / g.trip_length_m), sum(g.n_traversals) / rows,
+        sum(n >= 2 for n in g.n_traversals) / rows, added(turns) / km, 1.0 - g.cog_resultant,
+        sum(g.n_hard_brakes) / km, float(max(g.n_hard_brakes)),
+        sum(g.n_hard_accels) / km, float(max(g.n_hard_accels)),
+        added(s * n for s, n in zip(g.avg_speed_mps, g.n_points)) / sum(g.n_points))
+
+
+def one_trip_features(trip, network, config):
+    """The trip alone through the one-trip calls: its (length, features,
+    reference graph), the features equal, bit for bit, to those of the
+    point walk; or its rejection as (reason, n_matched, matched_fraction)."""
+    try:
+        matched = match_trip(trip, network, config)
+    except MatchRejected as exc:
+        return exc.reason, exc.n_matched, exc.matched_fraction
+    graph, reference = build_trip_graph(matched, network), reference_graph(matched, network)
+    assert repr(graph) == repr(reference)
+    features = extract_features(graph)
+    assert np.array(features).view(np.int64).tolist() == \
+        np.array(reference_features(reference)).view(np.int64).tolist()
+    return graph.trip_length_m, features, reference
+
+
+@pytest.mark.filterwarnings("ignore:degenerate mean")    # U-turns cancel on a row
+@settings(max_examples=100, deadline=None)
+@given(feature_cases(), st.integers(1, 4))
+def test_random_run_features_equal_one_trip_features(case, workers):
+    """Each trip's graph and feature row from match_and_build,
+    filter_by_min_length and extract_feature_table, bit for bit, or its
+    rejection, equals what the one-trip calls and the point walk give on
+    the trip alone, for any chunk and run sizes and 1-4 forked parts; a
+    trip exactly alpha long is dropped."""
+    network, trips, config, chunk, run_points, at_alpha = case
+    try:
+        want = [one_trip_features(trip, network, config) for trip in trips]
+    except ValueError as exc:
+        want = exc
+    if not isinstance(want, ValueError) and isinstance(want[at_alpha][1], FeatureVector):
+        config = replace(config, alpha=want[at_alpha][0])
+    with mock.patch.object(matching, "CHUNK_POINTS", chunk), \
+            mock.patch.object(matching, "RUN_POINTS", run_points), \
+            mock.patch.object(pipeline, "process_count", lambda w: w):
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=re.escape(str(want))):
+                match_and_build(trips, network, config, StageLog(), workers)
+            return
+        graphs, rejected = match_and_build(trips, network, config, StageLog(), workers)
+    kept, dropped = filter_by_min_length(graphs, config.alpha)
+    table = extract_feature_table(kept)
+    rows = dict(zip(table.keys, table.matrix))
+    built = iter(graphs.split())
+    rejections = iter(rejected)
+    for trip, result in zip(trips, want):
+        key = (trip.driver_id, trip.trip_id)
+        if isinstance(result[1], FeatureVector):
+            assert repr(next(built)) == repr(result[2])
+        if not isinstance(result[1], FeatureVector):
+            reason, driver_id, trip_id, n = next(rejections)
+            assert (reason, (driver_id, trip_id), n, n / len(trip)) == \
+                (result[0], key, result[1], result[2])
+        elif result[0] > config.alpha:
+            assert rows.pop(key).view(np.int64).tolist() == \
+                np.array(result[1]).view(np.int64).tolist()
+        else:
+            assert key in zip(dropped.driver_id.tolist(), dropped.trip_id.tolist())
+    assert next(rejections, None) is None and next(built, None) is None and not rows
 
 
 @given(st.lists(st.integers(2, 60), max_size=12), st.integers(1, 5))
@@ -534,6 +720,6 @@ def test_chunked_match_all_keeps_rejections_in_place(line_network):
              line_trip(on_line[:2], [270.0] * 2, trip=3)]
     for chunk in (1, 2, 4, 5, 1024):
         assert_chunked_run_equals_per_trip(line_network, trips, AnalysisConfig(), chunk)
-    results = match_all(trips, line_network, AnalysisConfig(), StageLog())
+    results = match_chunks(trips, line_network, AnalysisConfig())
     assert [type(r) for r in results] == [MatchedTrip, MatchRejected, MatchRejected, MatchedTrip]
     assert [r.reason for r in results[1:3]] == ["empty_match", "poor_match"]
