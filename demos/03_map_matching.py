@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from tripsift.matching import MatchRejected, match_trip, nearest_segment
+from tripsift.matching import match_trip, nearest_segment
 from tripsift.model import AnalysisConfig, Trip
 from tripsift.synth import SynthSpec, build_world, generate_normal_trip
 
@@ -39,7 +39,7 @@ def main() -> None:
     matched = match_trip(trip, world.network, config)
     snaps = nearest_segment(trip.lat[matched.kept], trip.lon[matched.kept], world.network,
                             config.max_snap_distance_m).distance_m
-    print(f"matched fraction: {matched.matched_fraction:.3f}")
+    print(f"matched fraction: {matched.matched_fraction[0]:.3f}")
     print(f"snap distance:    median {np.median(snaps):.2f} m, max {max(snaps):.2f} m")
 
     segs = np.unique(matched.segment_id).tolist()
@@ -53,10 +53,9 @@ def main() -> None:
     # the same trip through an absurdly tight radius gets refused
     print()
     tight = AnalysisConfig(alpha=0.0, max_snap_distance_m=0.05)
-    try:
-        match_trip(trip, world.network, tight)
-    except MatchRejected as exc:
-        print(f"with a 5 cm radius: {exc}")
+    for reason, driver_id, trip_id, n_matched in match_trip(trip, world.network, tight).rejected:
+        print(f"with a 5 cm radius: trip ({driver_id},{trip_id}) rejected: {reason} "
+              f"(matched fraction {n_matched / len(trip):.3f})")
 
 
 if __name__ == "__main__":

@@ -28,9 +28,9 @@ def show(world, planned, label: str):
             graph.segment_id, graph.direction, graph.n_traversals, graph.length_m,
             graph.avg_speed_mps):
         print(f"{segment:4d} {direction:+4d} {visits:7d} {length:8.1f} {speed:6.2f}")
-    print(f"trip length {graph.trip_length_m:.0f} m, "
-          f"net displacement {graph.net_displacement_m:.0f} m")
-    return extract_features(graph)
+    print(f"trip length {graph.trip_length_m[0]:.0f} m, "
+          f"net displacement {graph.net_displacement_m[0]:.0f} m")
+    return np.concatenate(extract_features(graph))    # its one trip's ten features
 
 
 def main() -> None:

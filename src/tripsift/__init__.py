@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .model import AnalysisConfig, RoadNetwork, RoadNode, RoadSegment, Trip
 from .ingest import parse_road_network, parse_trips
-from .matching import MatchRejected, MatchedTrip, match_trip
+from .matching import MatchedTrip, match_trip
 from .tripgraph import TripGraph, build_trip_graph, detect_events
 from .features import FEATURE_NAMES, FeatureTable, extract_feature_table, extract_features
 from .iforest import IForestModel, fit, load_model, save_model, score_vectors
@@ -27,7 +27,6 @@ __all__ = [
     "Trip",
     "parse_road_network",
     "parse_trips",
-    "MatchRejected",
     "MatchedTrip",
     "match_trip",
     "TripGraph",

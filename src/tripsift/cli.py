@@ -325,7 +325,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             status, n_kept = rejections.get((trip.driver_id, trip.trip_id), ("matched", 0))
             if status == "matched":
                 graph = next(matched)
-                n_kept = sum(graph.n_points)
+                n_kept = int(graph.n_points.sum())
                 matrix_path = matrices_dir / f"trip_{trip.driver_id}_{trip.trip_id}.csv"
                 written.append(matrix_path)
                 write_matrix_csv(graph, matrix_path)

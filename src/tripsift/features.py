@@ -3,17 +3,17 @@
 Ten dimensions in a fixed order; no standardization anywhere. The
 direction group captures route shape (loops, detours, erratic
 heading), the braking/acceleration groups capture hard events, and
-mean speed stands alone. A FeatureTable holds the vectors of many
-trips as one (N, 10) matrix, the form the forest reads. The matrix is
-computed from the row and traversal arrays of a many-trip TripGraph in
-a few array passes; one trip's vector is the same code on a run of one.
+mean speed stands alone. The features of a run of trips are computed
+from the row and traversal arrays of its TripGraph in a few array
+passes, as one FeatureVector of per-trip arrays; a FeatureTable holds
+them as one (N, 10) matrix, the form the forest reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,16 +32,18 @@ FEATURE_TABLE_COLUMNS = ["driver_id", "trip_id"] + [f"f{i}" for i in range(1, 11
 
 
 class FeatureVector(NamedTuple):
-    displacement_ratio: float           # f1: net displacement / trip length, in [0, 1]
-    repetition_ratio: float             # f2: traversals per distinct directed edge, >= 1
-    revisited_edge_fraction: float      # f3: fraction of edges traversed more than once
-    turn_density: float                 # f4: summed course change (deg) per km
-    direction_circular_variance: float  # f5: 1 - resultant length of point courses
-    brakes_per_km: float                # f6
-    max_edge_brakes: float              # f7
-    accels_per_km: float                # f8
-    max_edge_accels: float              # f9
-    mean_speed: float                   # f10: point-weighted, m/s
+    """The ten features, each an array with one entry per trip."""
+
+    displacement_ratio: np.ndarray           # f1: net displacement / trip length, in [0, 1]
+    repetition_ratio: np.ndarray             # f2: traversals per distinct directed edge, >= 1
+    revisited_edge_fraction: np.ndarray      # f3: fraction of edges traversed more than once
+    turn_density: np.ndarray                 # f4: summed course change (deg) per km
+    direction_circular_variance: np.ndarray  # f5: 1 - resultant length of point courses
+    brakes_per_km: np.ndarray                # f6
+    max_edge_brakes: np.ndarray              # f7
+    accels_per_km: np.ndarray                # f8
+    max_edge_accels: np.ndarray              # f9
+    mean_speed: np.ndarray                   # f10: point-weighted, m/s
 
 
 FEATURE_NAMES = list(FeatureVector._fields)
@@ -58,25 +60,20 @@ class FeatureTable:
         return len(self.keys)
 
 
-def extract_features(graph: TripGraph) -> Union[FeatureVector, np.ndarray]:
-    """The 10-dimensional feature vector of a one-trip graph, or the (N, 10)
-    feature matrix of a many-trip graph, row i for its trip i.
+def extract_features(graph: TripGraph) -> FeatureVector:
+    """The 10 features of each trip of the graph, entry i for its trip i.
 
     Float sums add in row or traversal order (np.bincount), as a loop
-    over one trip's lists does.
+    over one trip's rows does.
 
     Raises:
         ValueError: degenerate trip (non-positive length).
     """
-    if graph.n_rows is None:
-        return FeatureVector(*extract_features(TripGraph.join([graph]))[0].tolist())
     g, n = graph, len(graph.driver_id)
     bad = np.flatnonzero(g.trip_length_m <= 0.0)
     if len(bad):
         key = g.driver_id[bad[0]], g.trip_id[bad[0]]
         raise ValueError(f"degenerate trip ({key[0]},{key[1]}): non-positive length")
-    if not n:
-        return np.empty((0, 10))
     first_row = np.cumsum(g.n_rows) - g.n_rows
     row_trip = np.repeat(np.arange(n), g.n_rows)
     run_trip = np.repeat(np.arange(n), g.n_runs)
@@ -92,7 +89,7 @@ def extract_features(graph: TripGraph) -> Union[FeatureVector, np.ndarray]:
 
     km = g.trip_length_m / 1000.0
     displacement = g.net_displacement_m / g.trip_length_m
-    return np.column_stack([
+    return FeatureVector(
         np.where(displacement < 1.0, displacement, 1.0),
         per_trip(g.n_traversals) / g.n_rows,
         per_trip(g.n_traversals >= 2) / g.n_rows,
@@ -103,20 +100,18 @@ def extract_features(graph: TripGraph) -> Union[FeatureVector, np.ndarray]:
         np.add.reduceat(g.n_hard_accels, first_row) / km,
         np.maximum.reduceat(g.n_hard_accels, first_row).astype(float),
         per_trip(g.avg_speed_mps * g.n_points) / per_trip(g.n_points),
-    ])
+    )
 
 
-def extract_feature_table(graphs: Union[TripGraph, Sequence[TripGraph]]) -> FeatureTable:
-    """Feature vectors for many trips, a many-trip graph or a sequence of
-    graphs, sorted by (driver_id, trip_id)."""
-    if not isinstance(graphs, TripGraph):
-        graphs = TripGraph.join(graphs)
-    order = np.lexsort((graphs.trip_id, graphs.driver_id))
-    keys = np.column_stack((graphs.driver_id, graphs.trip_id))[order].tolist()
+def extract_feature_table(graph: TripGraph) -> FeatureTable:
+    """The feature vectors of the graph's trips, sorted by (driver_id, trip_id)."""
+    order = np.lexsort((graph.trip_id, graph.driver_id))
+    keys = np.column_stack((graph.driver_id, graph.trip_id))[order].tolist()
     for a, b in zip(keys, keys[1:]):
         if a == b:
             raise ValueError(f"duplicate trip key {tuple(a)}")
-    return FeatureTable(keys=list(map(tuple, keys)), matrix=extract_features(graphs)[order])
+    return FeatureTable(keys=list(map(tuple, keys)),
+                        matrix=np.column_stack(extract_features(graph))[order])
 
 
 def write_feature_table(table: FeatureTable, path: str | Path) -> None:

@@ -1,14 +1,12 @@
 """Map matching: snap GPS points onto nearby road segments.
 
-A matched trip keeps its trip's columns, the indices of the points that
-snapped, the directed edge (segment_id and direction arrays) of each,
-and the snap results of its first and last matched points.
 nearest_segment is the one snapping function: it takes one point, or
-lat/lon columns of any length. snap_trips feeds it runs of whole trips,
-joined into chunks of up to CHUNK_POINTS points (a longer trip alone);
-match_trip turns a trip's snaps into a MatchedTrip or a rejection, or a
-whole run's snaps into one MatchedTrip of its matched trips, which lists
-the rejected ones.
+lat/lon columns of any length. match_trip matches a run of consecutive
+trips (a lone trip is a run of one): it snaps them in chunks of whole
+trips of up to CHUNK_POINTS points (a longer trip alone), one
+nearest_segment call each, and returns one MatchedTrip of the run's
+matched trips, which lists the rejected ones. trip_runs cuts trips into
+such runs, of whole chunks up to RUN_POINTS points.
 
 Candidate lookup runs on a uniform grid keyed by a fixed equirectangular
 projection of the network's bounding box. A point's candidates are every
@@ -25,8 +23,8 @@ Accuracy assumes city-scale networks at sane latitudes (below roughly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,14 +49,14 @@ _TIE_FLOOR = 1e-300
 _NO_CANDIDATES = np.empty(0, dtype=np.intp)
 _NO_CANDIDATES.setflags(write=False)
 
-# points per nearest_segment call in snap_trips, unless one trip is longer.
+# points per nearest_segment call in match_trip, unless one trip is longer.
 # The call's block is these points times the widest candidate box among
 # them, so this bounds its memory; numpy's fixed cost per call is already
 # small at this size, and at 2048 the run's peak RSS rose by 3 MB on a
 # 24-segment network where every box holds the whole network
 CHUNK_POINTS = 1024
 
-# points per run of chunks that snap_trips gives, unless one chunk is
+# points per run of chunks that trip_runs gives, unless one chunk is
 # longer. A run is matched and its graphs built as one table of a few
 # arrays per point, so this bounds their memory; below it, numpy's fixed
 # cost per call shows (on 290-point trips, 1024-point runs took twice as long)
@@ -91,41 +89,25 @@ class SnapResult:
 
 @dataclass
 class MatchedTrip:
-    """A trip and the points of it that snapped, or the matched trips of a
-    run and their points.
+    """The matched trips of a run and the points of them that snapped.
 
-    kept holds the indices of those points into the trip's columns (into
-    the trips' columns joined trip after trip), in order; segment_id and
-    direction hold the directed edge of each (+1 with the segment's
-    from->to orientation, -1 against it). first_snap and last_snap are the
-    snap results of the first and last of them: scalars for one trip, and
-    arrays with one entry per trip for a run, as matched_fraction is. A
-    run also lists its rejected trips, each as (reason, driver_id,
-    trip_id, n_matched).
+    kept holds the indices of those points into the trips' columns joined
+    trip after trip, in order; segment_id and direction hold the directed
+    edge of each (+1 with the segment's from->to orientation, -1 against
+    it). first_snap and last_snap hold the array snap results of each
+    trip's first and last of them, one entry per trip, as matched_fraction
+    does. rejected lists the run's rejected trips, each as (reason,
+    driver_id, trip_id, n_matched).
     """
 
-    trip: Union[Trip, list[Trip]]
+    trips: list[Trip]
     kept: np.ndarray
     segment_id: np.ndarray
     direction: np.ndarray
     first_snap: SnapResult
     last_snap: SnapResult
-    matched_fraction: Union[float, np.ndarray]
-    rejected: list[tuple[str, int, int, int]] = field(default_factory=list)
-
-
-class MatchRejected(Exception):
-    """Trip could not be matched well enough to keep."""
-
-    def __init__(self, reason: str, driver_id: int, trip_id: int, n_matched: int,
-                 matched_fraction: float):
-        super().__init__(f"trip ({driver_id},{trip_id}) rejected: {reason} "
-                         f"(matched fraction {matched_fraction:.3f})")
-        self.reason = reason
-        self.driver_id = driver_id
-        self.trip_id = trip_id
-        self.n_matched = n_matched
-        self.matched_fraction = matched_fraction
+    matched_fraction: np.ndarray
+    rejected: list[tuple[str, int, int, int]]
 
 
 def point_segment_distance(
@@ -184,9 +166,9 @@ class SegmentGrid:
         self.cell_size_m = cell_size_m
         lats = [n.lat for n in network.nodes.values()]
         lons = [n.lon for n in network.nodes.values()]
-        self.lat0 = min(lats) if lats else 0.0
-        self.lon0 = min(lons) if lons else 0.0
-        mid_lat = (min(lats) + max(lats)) / 2.0 if lats else 0.0
+        self.lat0 = min(lats)
+        self.lon0 = min(lons)
+        mid_lat = (min(lats) + max(lats)) / 2.0
         self.cos_ref = max(math.cos(math.radians(mid_lat)), 1e-12)
         self.cells: dict[tuple[int, int], list[int]] = {}
 
@@ -196,12 +178,9 @@ class SegmentGrid:
             for cell in self._chord_cells(*self.project(a.lat, a.lon), *self.project(b.lat, b.lon)):
                 self.cells.setdefault(cell, []).append(seg_id)
 
-        if self.cells:
-            xs = [c[0] for c in self.cells]
-            ys = [c[1] for c in self.cells]
-            self._cell_bounds = (min(xs), max(xs), min(ys), max(ys))
-        else:
-            self._cell_bounds = (0, 0, 0, 0)
+        xs = [c[0] for c in self.cells]
+        ys = [c[1] for c in self.cells]
+        self._cell_bounds = (min(xs), max(xs), min(ys), max(ys))
 
         self.segment_ids = np.array(ids, dtype=np.int64)
         self.length_m = np.array([network.segments[seg_id].length_m for seg_id in ids], dtype=float)
@@ -377,95 +356,78 @@ def travel_direction(
     return int(direction) if direction.ndim == 0 else direction
 
 
-def snap_trips(
-    trips: Sequence[Trip], network: RoadNetwork, max_snap_distance_m: float
-) -> Iterator[tuple[Sequence[Trip], SnapResult]]:
-    """Runs of consecutive whole trips, in order, each with the snaps of its
-    points, trip after trip.
+def _packed(sizes: Sequence[int], limit: int) -> list[tuple[int, int]]:
+    """Bounds of consecutive groups of the items, each grown while the next
+    item still fits in `limit` (a larger item is a group of its own)."""
+    starts, total = [], limit
+    for i, size in enumerate(sizes):
+        if total + size > limit:
+            starts.append(i)
+            total = 0
+        total += size
+    return list(zip(starts, starts[1:] + [len(sizes)]))
 
-    A chunk of trips is grown while the next trip still fits in
-    CHUNK_POINTS points (a longer trip is a chunk of its own) and snapped
-    in one nearest_segment call; a run is grown from chunks while the next
-    still fits in RUN_POINTS points. A point's snap does not depend on the
-    other points of its call, so it equals nearest_segment on the trip
-    alone. Runs are snapped as they are consumed, so one is held at a time.
-    """
-    start, run, snaps, run_size = 0, [], [], 0
-    while start < len(trips):
-        stop, size = start + 1, len(trips[start])
-        while stop < len(trips) and size + len(trips[stop]) <= CHUNK_POINTS:
-            size += len(trips[stop])
-            stop += 1
-        chunk = trips[start:stop]
-        if run and run_size + size > RUN_POINTS:
-            yield run, SnapResult(*map(np.concatenate, zip(*snaps)))
-            run, snaps, run_size = [], [], 0
-        got = nearest_segment(np.concatenate([t.lat for t in chunk]),
-                              np.concatenate([t.lon for t in chunk]), network, max_snap_distance_m)
-        run += chunk
-        run_size += size
-        snaps.append((got.segment_id, got.distance_m, got.lat, got.lon))
-        start = stop
-    if run:
-        yield run, SnapResult(*map(np.concatenate, zip(*snaps)))
+
+def trip_runs(trips: Sequence[Trip]) -> list[Sequence[Trip]]:
+    """Runs of consecutive whole trips, in order: match_trip's chunks of up
+    to CHUNK_POINTS points, joined while the next still fits in RUN_POINTS."""
+    chunks = _packed([len(t) for t in trips], CHUNK_POINTS)
+    sizes = [sum(len(t) for t in trips[lo:hi]) for lo, hi in chunks]
+    return [trips[chunks[lo][0]:chunks[hi - 1][1]] for lo, hi in _packed(sizes, RUN_POINTS)]
 
 
 def match_trip(
-    trip: Union[Trip, Sequence[Trip]], network: RoadNetwork, config: AnalysisConfig,
-    snaps: Optional[SnapResult] = None,
+    trips: Union[Trip, Sequence[Trip]], network: RoadNetwork, config: AnalysisConfig,
 ) -> MatchedTrip:
-    """Turn the snaps of one trip, or of a run of trips, into matched points
-    and directed edges.
+    """Snap the points of a run of trips (or of one trip, a run of one) and
+    turn them into matched points and directed edges.
 
-    `snaps` holds the array snaps of the points at
-    config.max_snap_distance_m, trip after trip, as snap_trips gives them;
-    without it the points are snapped here, in one nearest_segment call.
-    Points with no segment in range are dropped. A trip is rejected when
-    nothing matches or when its matched fraction falls below
-    config.min_matched_fraction. A run gives one MatchedTrip of its
-    matched trips, which lists the rejected ones.
+    The run is snapped at config.max_snap_distance_m in chunks of whole
+    trips, each grown while the next trip still fits in CHUNK_POINTS
+    points (a longer trip alone), one nearest_segment call each. A point's
+    snap does not depend on the other points of its call, so every trip
+    matches as it does alone. Points with no segment in range are dropped.
+    A trip is rejected when nothing matches ("empty_match") or when its
+    matched fraction falls below config.min_matched_fraction
+    ("poor_match"); the MatchedTrip holds the matched trips and lists the
+    rejected ones.
 
     Raises:
-        MatchRejected: one trip rejected, reason "empty_match" or "poor_match".
         ValueError: a point snapped to a zero-length segment, whose
             direction is undefined; checked over every snapped point,
             rejected trips' included, before any rejection.
     """
-    one = isinstance(trip, Trip)
-    run = [trip] if one else trip
-    if snaps is None:
-        snaps = nearest_segment(np.concatenate([t.lat for t in run]),
-                                np.concatenate([t.lon for t in run]),
-                                network, config.max_snap_distance_m)
+    trips = [trips] if isinstance(trips, Trip) else trips
+    sizes = np.array([len(t) for t in trips])
+    at = [0, *np.cumsum(sizes).tolist()]    # each trip's first point in the joined columns
+    lat, lon = (np.concatenate([getattr(t, name) for t in trips]) for name in ("lat", "lon"))
+    parts = [nearest_segment(lat[at[lo]:at[hi]], lon[at[lo]:at[hi]], network,
+                             config.max_snap_distance_m)
+             for lo, hi in _packed(sizes.tolist(), CHUNK_POINTS)]
+    snaps = SnapResult(*(np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(SnapResult)))
     grid = grid_of(network)
-    sizes = np.array([len(t.lat) for t in run])
-    point_trip = np.repeat(np.arange(len(run)), sizes)
+    point_trip = np.repeat(np.arange(len(trips)), sizes)
     hit = np.flatnonzero(snaps.segment_id >= 0)
     bearing = grid.bearing[np.searchsorted(grid.segment_ids, snaps.segment_id[hit])]
     if np.isnan(bearing).any():
         raise ValueError("undefined bearing: a point snapped to a zero-length segment")
 
-    n_matched = np.bincount(point_trip[hit], minlength=len(run))
+    n_matched = np.bincount(point_trip[hit], minlength=len(trips))
     fraction = n_matched / sizes
     poor = fraction < config.min_matched_fraction
     reason = np.where(n_matched == 0, "empty_match", np.where(poor, "poor_match", "")).tolist()
-    if one and reason[0]:
-        raise MatchRejected(reason[0], trip.driver_id, trip.trip_id, int(n_matched[0]),
-                            float(fraction[0]))
     accepted = (n_matched > 0) & ~poor
     on = accepted[point_trip[hit]]
     kept = hit[on]
     owner = point_trip[kept]
     # each matched trip's first and last points: where its run of owners starts and ends
     first = snaps.take(kept[np.flatnonzero(np.diff(owner, prepend=-1))])
-    last = snaps.take(kept[np.flatnonzero(np.diff(owner, append=len(run)))])
-    direction = travel_direction(np.concatenate([t.cog_deg for t in run])[kept], bearing[on])
-    if one:
-        return MatchedTrip(trip, kept, snaps.segment_id[kept], direction, first.at(0), last.at(0),
-                           float(fraction[0]))
+    last = snaps.take(kept[np.flatnonzero(np.diff(owner, append=len(trips)))])
+    direction = travel_direction(np.concatenate([t.cog_deg for t in trips])[kept], bearing[on])
     # the points of rejected trips before a point are not in the matched trips' columns
     skipped = np.cumsum(np.where(accepted, 0, sizes))
     return MatchedTrip(
-        [t for t, ok in zip(run, accepted.tolist()) if ok], kept - skipped[owner],
+        [t for t, ok in zip(trips, accepted.tolist()) if ok], kept - skipped[owner],
         snaps.segment_id[kept], direction, first, last, fraction[accepted],
-        [(r, t.driver_id, t.trip_id, n) for t, r, n in zip(run, reason, n_matched.tolist()) if r])
+        [(r, t.driver_id, t.trip_id, n) for t, r, n in zip(trips, reason, n_matched.tolist()) if r])

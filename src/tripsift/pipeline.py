@@ -4,9 +4,9 @@ The run is a chain of named stages, most of which the match and score
 subcommands also call on their own: ingest_inputs (network and trips,
 with hard events derived when the file has none), match_and_build
 (every trip matched and every matched trip's Edge-Attributed Matrix
-built, one chunk of consecutive trips at a time, over runs of trips in
-up to `workers` processes) and score_and_write (forest scores, driver
-ranking, score files). Each stage adds its time
+built, one run of consecutive trips at a time, in up to `workers`
+processes) and score_and_write (forest scores, driver ranking, score
+files). Each stage adds its time
 to a StageLog, which also keeps the peak RSS of the process and its
 worker processes as the stage ended, also when the stage raised.
 
@@ -33,7 +33,7 @@ from .features import FeatureTable, extract_feature_table, write_feature_table
 from .forked import process_count, run_parts
 from .iforest import IForestModel, save_model, threshold_from_contamination
 from .ingest import IngestReport, parse_road_network, parse_trips, removed_on_failure
-from .matching import match_trip, snap_trips
+from .matching import match_trip, trip_runs
 from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
                       write_driver_report, write_trip_scores)
@@ -138,37 +138,38 @@ def match_and_build(
     workers: int = 1,
 ) -> tuple[TripGraph, list[tuple[str, int, int, int]]]:
     """Match every trip and build the graph of each matched one, in up to
-    `workers` processes; return the graphs, as one many-trip TripGraph, and
-    each rejection as (reason, driver_id, trip_id, n_matched), both in
-    input order.
+    `workers` processes; return the graphs, as one TripGraph, and each
+    rejection as (reason, driver_id, trip_id, n_matched), both in input
+    order.
 
-    The trips are cut into runs of consecutive trips holding about equal
-    numbers of points. Each run is matched and built on its own, the first
-    in this process and the others in forked children, and the runs are
-    joined in order, so the result is the same for any workers. Within a
-    run, each chunk of trips that snap_trips snaps together is matched
-    (match_trip) and built (build_trip_graph) as one run. The whole
-    split is timed as "match", less the first run's graph building, which
-    is added to "graphs" when any trip matched.
+    The trips are cut into parts of consecutive trips holding about equal
+    numbers of points. Each part is matched and built on its own, the
+    first in this process and the others in forked children, and the
+    parts are joined in order, so the result is the same for any workers.
+    Within a part, each run of trips that matching.trip_runs cuts is
+    matched (match_trip) and built (build_trip_graph) at once. The whole
+    split is timed as "match", less the first part's graph building,
+    which is added to "graphs" when any trip matched.
 
     Raises:
         ValueError: a point snapped to a zero-length segment.
     """
-    runs = _trip_runs(trips, process_count(workers))
+    bounds = _trip_parts(trips, process_count(workers))
     with stages.timed("match"):
-        parts = run_parts(_match_and_build_run, [(trips[lo:hi], network, config) for lo, hi in runs])
-    graph_runs, rejected_runs, graphs_seconds = zip(*parts)
-    graphs = TripGraph.join(graph_runs)
-    # the first run built its graphs in this process: that time is the graphs stage's
+        parts = run_parts(_match_and_build_part,
+                          [(trips[lo:hi], network, config) for lo, hi in bounds])
+    graph_parts, rejected_parts, graphs_seconds = zip(*parts)
+    graphs = TripGraph.join(graph_parts)
+    # the first part built its graphs in this process: that time is the graphs stage's
     stages.add("match", -graphs_seconds[0])
     if len(graphs.driver_id):
         stages.add("graphs", graphs_seconds[0])
-    return graphs, [r for run in rejected_runs for r in run]
+    return graphs, [r for part in rejected_parts for r in part]
 
 
-def _trip_runs(trips: list[Trip], n: int) -> list[tuple[int, int]]:
-    """Bounds of up to n runs of consecutive trips, cut at the first trip
-    end at or past each n-th of the points; no run is empty unless it is
+def _trip_parts(trips: list[Trip], n: int) -> list[tuple[int, int]]:
+    """Bounds of up to n parts of consecutive trips, cut at the first trip
+    end at or past each n-th of the points; no part is empty unless it is
     the only one."""
     starts = np.cumsum([0] + [len(t) for t in trips])
     cuts = np.searchsorted(starts, starts[-1] * np.arange(1, n) / n).tolist()
@@ -176,15 +177,15 @@ def _trip_runs(trips: list[Trip], n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _match_and_build_run(
+def _match_and_build_part(
     trips: list[Trip], network: RoadNetwork, config: AnalysisConfig,
 ) -> tuple[TripGraph, list[tuple[str, int, int, int]], float]:
-    """One run's graphs and rejections, as plain data a forked part sends
+    """One part's graphs and rejections, as plain data a forked part sends
     back, and the seconds its graph building took."""
     stages = StageLog()
     graphs, rejected = [], []
-    for chunk, snaps in snap_trips(trips, network, config.max_snap_distance_m):
-        matched = match_trip(chunk, network, config, snaps)
+    for run in trip_runs(trips):
+        matched = match_trip(run, network, config)
         rejected += matched.rejected
         with stages.timed("graphs"):
             graphs.append(build_trip_graph(matched, network))

@@ -1,20 +1,19 @@
 """Edge-attributed trip matrices.
 
-A matched trip becomes its Edge-Attributed Matrix, a TripGraph: one
-row per (segment_id, direction) key in order of first traversal,
-carrying averaged speed and direction, the segment length, hard-event
-totals, and traversal counts, plus the trip's length, net displacement,
-course resultant and traversal sequence. The matrix is held as columns,
-one list per attribute with one entry per row. A traversal is a maximal
-consecutive run of points on the same directed edge; the sequence
-lists the row index of each traversal in time order.
+A matched trip becomes its Edge-Attributed Matrix: one row per
+(segment_id, direction) key in order of first traversal, carrying
+averaged speed and direction, the segment length, hard-event totals,
+and traversal counts, plus the trip's length, net displacement, course
+resultant and traversal sequence. A traversal is a maximal consecutive
+run of points on the same directed edge; the sequence lists the row
+index of each traversal in time order.
 
-A TripGraph also holds many trips, each field as one array over them,
-which build_trip_graph makes from a run's matched trips in array passes:
-rows from the unique (trip, segment, direction) keys, traversals from
-key changes, sums from np.bincount in point order and trigonometry from
-math. So each trip's matrix is bit for bit the one it gets when built
-alone, as a run of one.
+A TripGraph holds the matrices of a run of trips, each field as one
+array over them (a lone trip is a run of one). build_trip_graph makes it
+from a run's matched trips in array passes: rows from the unique (trip,
+segment, direction) keys, traversals from key changes, sums from
+np.bincount in point order and trigonometry from math. So each trip's
+matrix is bit for bit the one it gets when built alone.
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .geo import DEG_TO_RAD, RAD_TO_DEG, haversine_m
 from .ingest import write_csv
 from .matching import MatchedTrip, grid_of
-from .model import Trip
 
 MATRIX_CSV_COLUMNS = [
     "segment_id", "direction", "avg_speed_mps", "avg_dir_deg",
@@ -46,63 +44,54 @@ _FLOAT_FIELDS = ("avg_speed_mps", "avg_direction_deg", "length_m", "trip_length_
 
 @dataclass
 class TripGraph:
-    """Edge-Attributed Matrices, column by column, with trip-wide statistics:
-    one trip's as lists and scalars, or many trips' as arrays, each field
-    joined over the trips.
+    """Edge-Attributed Matrices of a run of trips, column by column, with
+    trip-wide statistics, each field one array joined over the trips.
 
-    The matrix columns are the ROW_FIELDS, one entry per row, rows in order
-    of first traversal. In the many-trip form trip i's rows are the next
-    n_rows[i] entries of those columns and its traversals the next
-    n_runs[i] entries of traversal_sequence, whose row indices count from
-    the trip's own first row; the one-trip form has no n_rows or n_runs.
+    The matrix columns are the ROW_FIELDS, one entry per row. Trip i's rows
+    are the next n_rows[i] entries of those columns, in order of first
+    traversal, and its traversals the next n_runs[i] entries of
+    traversal_sequence, whose row indices count from the trip's own first
+    row; the other fields have one entry per trip.
     """
 
-    driver_id: Union[int, np.ndarray]
-    trip_id: Union[int, np.ndarray]
-    segment_id: Union[list[int], np.ndarray]
-    direction: Union[list[int], np.ndarray]
-    avg_speed_mps: Union[list[float], np.ndarray]
-    avg_direction_deg: Union[list[float], np.ndarray]
-    length_m: Union[list[float], np.ndarray]
-    n_hard_brakes: Union[list[int], np.ndarray]
-    n_hard_accels: Union[list[int], np.ndarray]
-    n_traversals: Union[list[int], np.ndarray]
-    n_points: Union[list[int], np.ndarray]
-    trip_length_m: Union[float, np.ndarray]
-    net_displacement_m: Union[float, np.ndarray]
-    traversal_sequence: Union[list[int], np.ndarray]  # row index of each maximal run, in time order
-    cog_resultant: Union[float, np.ndarray]           # mean resultant length of all point courses
-    n_rows: Optional[np.ndarray] = None
-    n_runs: Optional[np.ndarray] = None
+    driver_id: np.ndarray
+    trip_id: np.ndarray
+    segment_id: np.ndarray
+    direction: np.ndarray
+    avg_speed_mps: np.ndarray
+    avg_direction_deg: np.ndarray
+    length_m: np.ndarray
+    n_hard_brakes: np.ndarray
+    n_hard_accels: np.ndarray
+    n_traversals: np.ndarray
+    n_points: np.ndarray
+    trip_length_m: np.ndarray
+    net_displacement_m: np.ndarray
+    traversal_sequence: np.ndarray  # row index of each maximal run, in time order
+    cog_resultant: np.ndarray       # mean resultant length of all point courses
+    n_rows: np.ndarray
+    n_runs: np.ndarray
 
     @staticmethod
     def join(graphs: Sequence[TripGraph]) -> TripGraph:
-        """The many-trip form of these graphs, of either form, in order."""
-        columns = {}
-        for f in fields(TripGraph):
-            dtype = float if f.name in _FLOAT_FIELDS else np.int64
-            listed = f.name in ROW_FIELDS or f.name == "traversal_sequence"
-            columns[f.name] = np.concatenate([np.empty(0, dtype)] + [
-                getattr(g, f.name) if g.n_rows is not None or listed
-                else [len(g.segment_id)] if f.name == "n_rows"
-                else [len(g.traversal_sequence)] if f.name == "n_runs"
-                else [getattr(g, f.name)] for g in graphs], dtype=dtype)
-        return TripGraph(**columns)
+        """The trips of these graphs as one graph, in order."""
+        return TripGraph(**{f.name: np.concatenate(
+            [np.empty(0, float if f.name in _FLOAT_FIELDS else np.int64)]
+            + [getattr(g, f.name) for g in graphs]) for f in fields(TripGraph)})
 
     def take(self, keep: np.ndarray) -> TripGraph:
-        """The trips of the many-trip form where the boolean mask keep is set."""
+        """The trips where the boolean mask keep is set."""
         rows, runs = np.repeat(keep, self.n_rows), np.repeat(keep, self.n_runs)
         return TripGraph(**{f.name: getattr(self, f.name)[
             rows if f.name in ROW_FIELDS else runs if f.name == "traversal_sequence" else keep]
             for f in fields(self)})
 
     def split(self) -> list[TripGraph]:
-        """Each trip of the many-trip form in the one-trip form, in order."""
-        columns = {f.name: getattr(self, f.name).tolist() for f in fields(self)[:-2]}
+        """Each trip as a graph of its own, in order."""
         rows, runs = np.cumsum(self.n_rows).tolist(), np.cumsum(self.n_runs).tolist()
-        return [TripGraph(**{name: values[r0:r1] if name in ROW_FIELDS else
-                             values[s0:s1] if name == "traversal_sequence" else values[i]
-                             for name, values in columns.items()})
+        return [TripGraph(**{f.name: getattr(self, f.name)[
+            slice(r0, r1) if f.name in ROW_FIELDS else slice(s0, s1)
+            if f.name == "traversal_sequence" else slice(i, i + 1)] for f in fields(self)})
                 for i, (r0, r1, s0, s1) in enumerate(zip([0] + rows, rows, [0] + runs, runs))]
 
 
@@ -139,17 +128,13 @@ def detect_events(
 
 
 def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
-    """Aggregate a matched trip into its edge-attributed matrix, or the
-    matched trips of a run into theirs, in the many-trip form.
+    """Aggregate the matched trips of a run into their edge-attributed matrices.
 
     Rows appear in order of first traversal. Trip length sums the full
     segment length once per traversal; net displacement is the
     great-circle distance between the first and last snapped points.
     """
-    one = isinstance(matched.trip, Trip)
-    trips = [matched.trip] if one else matched.trip
-    if one and not len(matched.kept):
-        raise ValueError(f"trip ({trips[0].driver_id},{trips[0].trip_id}) has no matched points")
+    trips = matched.trips
     grid = grid_of(network)
     n = len(trips)
     trip = np.repeat(np.arange(n), [len(t.lat) for t in trips])[matched.kept]
@@ -193,9 +178,8 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
     mean = np.where(mean < 0.0, mean + 360.0, mean)
     resultant = (_hypot(np.bincount(trip, cos, n), np.bincount(trip, sin, n))
                  / np.bincount(trip, minlength=n))
-    ends = [np.atleast_1d(v).tolist() for s in (matched.first_snap, matched.last_snap)
-            for v in (s.lat, s.lon)]
-    graphs = TripGraph(
+    ends = [v.tolist() for s in (matched.first_snap, matched.last_snap) for v in (s.lat, s.lon)]
+    return TripGraph(
         driver_id=np.array([t.driver_id for t in trips], np.int64),
         trip_id=np.array([t.trip_id for t in trips], np.int64),
         segment_id=matched.segment_id[first],
@@ -214,7 +198,6 @@ def build_trip_graph(matched: MatchedTrip, network) -> TripGraph:
         n_rows=row_count,
         n_runs=np.bincount(run_trip, minlength=n),
     )
-    return graphs.split()[0] if one else graphs
 
 
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,7 +208,7 @@ def filter_by_min_length(
     graphs: Union[TripGraph, Sequence[TripGraph]], alpha: float
 ) -> tuple[Union[TripGraph, list[TripGraph]], Union[TripGraph, list[TripGraph]]]:
     """Split trips into (kept, dropped) by the strict minimum-length rule:
-    a many-trip TripGraph into two, or a sequence of graphs into two lists.
+    a TripGraph into two, or a sequence of graphs of one trip into two lists.
 
     A trip is kept iff trip_length > alpha; a trip exactly alpha long
     is dropped.
@@ -239,8 +222,6 @@ def filter_by_min_length(
 
 
 def write_matrix_csv(graph: TripGraph, path: str | Path) -> None:
-    """Debug export of one trip's matrix."""
-    write_csv(path, MATRIX_CSV_COLUMNS, zip(
-        graph.segment_id, graph.direction, graph.avg_speed_mps, graph.avg_direction_deg,
-        graph.length_m, graph.n_hard_brakes, graph.n_hard_accels, graph.n_traversals,
-        graph.n_points))
+    """Debug export of the matrix of a graph of one trip."""
+    write_csv(path, MATRIX_CSV_COLUMNS,
+              zip(*(getattr(graph, name).tolist() for name in ROW_FIELDS)))

@@ -11,7 +11,7 @@ import pytest
 import tripsift
 from tripsift.cli import (ANALYSIS_OPTIONS, GENERATE_OPTIONS, MATCH_OPTIONS, PIPELINE_OPTIONS,
                           SCORE_OPTIONS, build_config, build_parser, main, resolve_options)
-from tripsift.matching import MatchRejected, match_trip
+from tripsift.matching import match_trip
 from tripsift.model import AnalysisConfig
 from tripsift.pipeline import StageLog, ingest_inputs
 from tripsift.synth import SynthSpec, generate_dataset
@@ -307,12 +307,12 @@ def test_match_outputs_equal_one_trip_match_and_build(tmp_path, degraded):
                                       StageLog())
     rows, matrices = [], {}
     for trip in trips:
-        try:
-            matched = match_trip(trip, network, config)
-        except MatchRejected as exc:
-            n, fraction, status = exc.n_matched, exc.matched_fraction, exc.reason
+        matched = match_trip(trip, network, config)
+        if matched.rejected:
+            (status, _, _, n), = matched.rejected
+            fraction = n / len(trip)
         else:
-            n, fraction, status = len(matched.kept), matched.matched_fraction, "matched"
+            n, fraction, status = len(matched.kept), matched.matched_fraction.item(), "matched"
             name = f"trip_{trip.driver_id}_{trip.trip_id}.csv"
             write_matrix_csv(build_trip_graph(matched, network), tmp_path / name)
             matrices[name] = (tmp_path / name).read_bytes()

@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,15 +17,14 @@ from tripsift.geo import (EARTH_RADIUS_M, circular_diff_deg, circular_mean_deg, 
                           initial_bearing_deg, mean_resultant_length, normalize_bearing_deg)
 from tripsift.matching import (
     MatchedTrip,
-    MatchRejected,
     SegmentGrid,
     SnapResult,
     build_spatial_index,
     match_trip,
     nearest_segment,
     point_segment_distance,
-    snap_trips,
     travel_direction,
+    trip_runs,
 )
 from tripsift.model import (
     AnalysisConfig,
@@ -35,6 +35,8 @@ from tripsift.model import (
 )
 from tripsift.pipeline import StageLog, match_and_build
 from tripsift.tripgraph import TripGraph, build_trip_graph, filter_by_min_length
+
+from test_traced_harness import chunk_count
 
 LAT_SCALE_M = 111.19492664455875  # meters per 0.001 deg of latitude
 
@@ -304,7 +306,7 @@ def test_match_trip_directions(line_network):
         [90.0, 90.0, 270.0],
     )
     matched = match_trip(trip, line_network, config)
-    assert matched.matched_fraction == 1.0
+    assert matched.matched_fraction.tolist() == [1.0]
     assert matched.direction.tolist() == [1, 1, -1]
     assert all(segment_id == 10 for segment_id in matched.segment_id.tolist())
     snaps = [nearest_segment(trip.lat[i], trip.lon[i], line_network, config.max_snap_distance_m)
@@ -320,7 +322,7 @@ def test_match_trip_drops_far_points(line_network):
     )
     matched = match_trip(trip, line_network, config)
     assert matched.kept.tolist() == [0, 2]
-    assert matched.matched_fraction == pytest.approx(2 / 3)
+    assert matched.matched_fraction.tolist() == [pytest.approx(2 / 3)]
 
 
 def test_match_trip_poor_match_rejected(line_network):
@@ -329,19 +331,18 @@ def test_match_trip_poor_match_rejected(line_network):
         [(40.0, -85.998), (41.0, -85.996), (41.0, -85.994)],
         [90.0, 90.0, 90.0],
     )
-    with pytest.raises(MatchRejected) as info:
-        match_trip(trip, line_network, config)
-    assert info.value.reason == "poor_match"
-    assert info.value.n_matched == 1
-    assert info.value.matched_fraction == pytest.approx(1 / 3)
+    matched = match_trip(trip, line_network, config)
+    assert matched.trips == [] and matched.kept.tolist() == []
+    assert matched.rejected == [("poor_match", 1, 1, 1)]
+    assert matched.rejected[0][3] / len(trip) == pytest.approx(1 / 3)
 
 
 def test_match_trip_empty_match_rejected(line_network):
     config = AnalysisConfig(alpha=0.0)
     trip = line_trip([(41.0, -85.998), (41.0, -85.996)], [90.0, 90.0])
-    with pytest.raises(MatchRejected) as info:
-        match_trip(trip, line_network, config)
-    assert info.value.reason == "empty_match"
+    matched = match_trip(trip, line_network, config)
+    assert matched.trips == [] and matched.kept.tolist() == []
+    assert matched.rejected == [("empty_match", 1, 1, 0)]
 
 
 def reference_match(trip, network, config):
@@ -401,101 +402,118 @@ def test_random_match_trip_equals_per_point_reference(case):
             match_trip(trip, network, config)
         return
     fraction = len(kept) / len(trip)
-    if not kept or fraction < config.min_matched_fraction:
-        with pytest.raises(MatchRejected) as info:
-            match_trip(trip, network, config)
-        assert info.value.reason == ("poor_match" if kept else "empty_match")
-        assert (info.value.n_matched, info.value.matched_fraction) == (len(kept), fraction)
-        return
     matched = match_trip(trip, network, config)
-    assert matched.trip is trip
+    if not kept or fraction < config.min_matched_fraction:
+        assert matched.rejected == [("poor_match" if kept else "empty_match", trip.driver_id,
+                                     trip.trip_id, len(kept))]
+        assert matched.trips == [] and matched.kept.tolist() == []
+        assert matched.matched_fraction.tolist() == [] and len(matched.first_snap.lat) == 0
+        return
+    assert matched.rejected == []
+    assert len(matched.trips) == 1 and matched.trips[0] is trip
     assert matched.kept.tolist() == kept
     assert list(zip(matched.segment_id.tolist(), matched.direction.tolist())) == edges
-    assert matched.first_snap == snaps[0]
-    assert matched.last_snap == snaps[-1]
-    assert matched.matched_fraction == fraction
+    assert len(matched.first_snap.lat) == len(matched.last_snap.lat) == 1
+    assert matched.first_snap.at(0) == snaps[0]
+    assert matched.last_snap.at(0) == snaps[-1]
+    assert matched.matched_fraction.tolist() == [fraction]
 
 
 @st.composite
 def run_cases(draw):
     """A snap_cases network, 1-6 trips of 2-40 points (a Trip's least)
-    through its query points, a config, and a chunk size of 1-50 points, so
-    trips of the fewest points, trips longer than a chunk and trips across
-    a chunk edge all occur."""
+    through its query points, a config, a chunk size of 1-50 points and a
+    run size of 1-200 points, so trips of the fewest points, trips longer
+    than a chunk, trips across a chunk edge and chunks longer than a run
+    all occur."""
     network, queries = draw(snap_cases())
     courses = courses_on(network)
     trips = []
     for k in range(draw(st.integers(1, 6))):
         spots = draw(st.lists(st.sampled_from(queries), min_size=2, max_size=40))
         trips.append(line_trip(spots, [draw(courses) for _ in spots], trip=k))
-    return network, trips, draw(configs), draw(st.integers(1, 50))
+    return network, trips, draw(configs), draw(st.integers(1, 50)), draw(st.integers(1, 200))
 
 
-def match_or_rejection(trip, network, config):
-    try:
-        return match_trip(trip, network, config)
-    except MatchRejected as exc:
-        return exc
-
-
-def match_chunks(trips, network, config):
-    """Every trip's result in the one-trip form, its MatchedTrip or its
-    MatchRejected, read off the run form that match_trip makes of each
-    chunk snap_trips gives, as the pipeline matches."""
-    results = []
-    for chunk, snaps in snap_trips(trips, network, config.max_snap_distance_m):
-        run = match_trip(chunk, network, config, snaps)
-        rejected = {(driver, trip): (reason, n) for reason, driver, trip, n in run.rejected}
-        ends = np.cumsum([len(t) for t in run.trip])
-        owner = np.searchsorted(ends, run.kept, side="right")
+def match_runs(trips, network, config):
+    """Every trip's result, read off the MatchedTrip that match_trip makes
+    of each run trip_runs gives, as the pipeline matches: a matched trip as
+    the MatchedTrip of a run of it alone, a rejected one as its rejected
+    entry. Also the runs."""
+    results, runs = [], trip_runs(trips)
+    for run in runs:
+        matched = match_trip(run, network, config)
+        rejected = {entry[1:3]: entry for entry in matched.rejected}
+        ends = np.cumsum([len(t) for t in matched.trips])
+        owner = np.searchsorted(ends, matched.kept, side="right")
         j = 0
-        for trip in chunk:
+        for trip in run:
             if (trip.driver_id, trip.trip_id) in rejected:
-                reason, n = rejected[trip.driver_id, trip.trip_id]
-                results.append(MatchRejected(reason, trip.driver_id, trip.trip_id, n, n / len(trip)))
+                results.append(rejected.pop((trip.driver_id, trip.trip_id)))
                 continue
-            assert run.trip[j] is trip
-            own = owner == j
-            results.append(MatchedTrip(trip, run.kept[own] - (ends[j] - len(trip)),
-                                       run.segment_id[own], run.direction[own],
-                                       run.first_snap.at(j), run.last_snap.at(j),
-                                       float(run.matched_fraction[j])))
+            assert matched.trips[j] is trip
+            own, one = owner == j, slice(j, j + 1)
+            results.append(MatchedTrip([trip], matched.kept[own] - (ends[j] - len(trip)),
+                                       matched.segment_id[own], matched.direction[own],
+                                       matched.first_snap.take(one), matched.last_snap.take(one),
+                                       matched.matched_fraction[one], []))
             j += 1
-        assert j == len(run.trip) == len(run.first_snap.lat)
-    return results
+        assert j == len(matched.trips) == len(matched.first_snap.lat) and not rejected
+    return results, runs
 
 
-def assert_chunked_run_equals_per_trip(network, trips, config, chunk):
-    """match_trip on chunks of `chunk` points gives, for every trip, what
-    match_trip gives on the trip alone, and no nearest_segment call takes
-    more than max(chunk, longest trip) points."""
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def assert_chunked_run_equals_per_trip(network, trips, config, chunk, run_points):
+    """match_trip on the runs of `run_points` points of chunks of `chunk`
+    points gives, for every trip, what match_trip gives on the trip alone;
+    it makes one nearest_segment call per chunk of chunk_count's packing
+    rule, of at most max(chunk, longest trip) points; and the runs are
+    whole chunks, in order, of at most max(run_points, largest chunk)
+    points, each grown while the next chunk still fits."""
     try:
-        want = [match_or_rejection(trip, network, config) for trip in trips]
+        want = [match_trip(trip, network, config) for trip in trips]
     except ValueError as exc:
         want = exc
     with mock.patch.object(matching, "CHUNK_POINTS", chunk), \
+            mock.patch.object(matching, "RUN_POINTS", run_points), \
             mock.patch.object(matching, "nearest_segment", wraps=matching.nearest_segment) as calls:
         if isinstance(want, ValueError):
             with pytest.raises(ValueError, match=str(want)):
-                match_chunks(trips, network, config)
+                match_runs(trips, network, config)
             return
-        got = match_chunks(trips, network, config)
+        got, runs = match_runs(trips, network, config)
     sizes = [len(c.args[0]) for c in calls.call_args_list]
-    assert max(sizes) <= max(chunk, *map(len, trips))
-    assert sum(sizes) == sum(map(len, trips))
+    lengths = [len(t) for t in trips]
+    assert len(sizes) == chunk_count(lengths, chunk)
+    assert max(sizes) <= max(chunk, *lengths)
+    # the chunks, one per call, start where chunk_count's packing starts one
+    starts = [i for i in range(len(trips))
+              if chunk_count(lengths[:i + 1], chunk) > chunk_count(lengths[:i], chunk)]
+    assert sizes == [sum(lengths[lo:hi]) for lo, hi in zip(starts, starts[1:] + [len(trips)])]
+    # runs: whole chunks in order, each grown while the next chunk still fits
+    assert [t for run in runs for t in run] == trips
+    run_starts = np.cumsum([0] + [len(run) for run in runs])[:-1].tolist()
+    assert set(run_starts) <= set(starts)
+    run_sizes = [sum(map(len, run)) for run in runs]
+    assert max(run_sizes) <= max(run_points, *sizes)
+    for size, next_start in zip(run_sizes, run_starts[1:]):
+        assert size + sizes[starts.index(next_start)] > run_points
     assert len(got) == len(want)
     for trip, g, w in zip(trips, got, want):
-        assert type(g) is type(w)
-        if isinstance(w, MatchRejected):
-            assert (g.reason, g.n_matched, g.matched_fraction) == \
-                (w.reason, w.n_matched, w.matched_fraction)
+        if w.rejected:
+            assert [g] == w.rejected
+            assert w.trips == [] and w.kept.tolist() == []
             continue
-        assert g.trip is trip
-        assert g.kept.tolist() == w.kept.tolist()
-        assert g.segment_id.tolist() == w.segment_id.tolist()
-        assert g.direction.tolist() == w.direction.tolist()
-        assert (g.first_snap, g.last_snap, g.matched_fraction) == \
-            (w.first_snap, w.last_snap, w.matched_fraction)
+        assert w.rejected == [] and g.trips == w.trips == [trip]
+        for name in ("kept", "segment_id", "direction", "matched_fraction"):
+            assert_same_arrays(getattr(g, name), getattr(w, name))
+        for snaps in ("first_snap", "last_snap"):
+            for name in SnapResult.__dataclass_fields__:
+                assert_same_arrays(getattr(getattr(g, snaps), name),
+                                   getattr(getattr(w, snaps), name))
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,8 +530,9 @@ def test_random_split_match_and_build_equals_one_part(case, workers):
     joins into the one-part run's graphs (every field, bit for bit, the
     matched-point counts n_points included) and rejections in input order,
     or raises its ValueError."""
-    network, trips, config, chunk = case
-    with mock.patch.object(matching, "CHUNK_POINTS", chunk):
+    network, trips, config, chunk, run_points = case
+    with mock.patch.object(matching, "CHUNK_POINTS", chunk), \
+            mock.patch.object(matching, "RUN_POINTS", run_points):
         try:
             one = match_and_build(trips, network, config, StageLog())
         except ValueError as exc:
@@ -529,7 +548,7 @@ def test_random_split_match_and_build_equals_one_part(case, workers):
 
 
 def assert_same_graphs(got, want):
-    """Every field of two many-trip graphs equal, dtype and bits included."""
+    """Every field of two graphs equal, dtype and bits included."""
     for name in TripGraph.__dataclass_fields__:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -576,10 +595,10 @@ def added(values):
 
 
 def reference_graph(matched, network):
-    """One trip's TripGraph by a walk over its matched points: rows in order
-    of first traversal, sums added point by point, courses averaged with
-    geo.circular_mean_deg and mean_resultant_length."""
-    trip, kept = matched.trip, matched.kept
+    """The TripGraph of a run of one matched trip by a walk over its matched
+    points: rows in order of first traversal, sums added point by point,
+    courses averaged with geo.circular_mean_deg and mean_resultant_length."""
+    (trip,), kept = matched.trips, matched.kept
     rows, sequence = {}, []
     for key, speed, cog, brake, accel in zip(
             zip(matched.segment_id.tolist(), matched.direction.tolist()),
@@ -594,44 +613,54 @@ def reference_graph(matched, network):
             sequence.append(list(rows).index(key))
     keys, values = list(rows), list(rows.values())
     length = [network.segments[segment].length_m for segment, _ in keys]
-    first, last = matched.first_snap, matched.last_snap
-    return TripGraph(
-        trip.driver_id, trip.trip_id, [k[0] for k in keys], [k[1] for k in keys],
+    first, last = matched.first_snap.at(0), matched.last_snap.at(0)
+    columns = (
+        [trip.driver_id], [trip.trip_id], [k[0] for k in keys], [k[1] for k in keys],
         [added(speeds) / len(speeds) for speeds, _, _ in values],
         [circular_mean_deg(cogs) for _, cogs, _ in values], length,
         [events[0] for _, _, events in values], [events[1] for _, _, events in values],
         [sequence.count(i) for i in range(len(keys))], [len(cogs) for _, cogs, _ in values],
-        added(length[i] for i in sequence), haversine_m(first.lat, first.lon, last.lat, last.lon),
-        sequence, mean_resultant_length(trip.cog_deg[kept].tolist()))
+        [added(length[i] for i in sequence)],
+        [haversine_m(first.lat, first.lon, last.lat, last.lon)],
+        sequence, [mean_resultant_length(trip.cog_deg[kept].tolist())], [len(keys)],
+        [len(sequence)])
+    return TripGraph(*(np.array(column, float if isinstance(column[0], float) else np.int64)
+                       for column in columns))
 
 
-def reference_features(g):
-    """The ten features of a one-trip graph, term by term, sums added in order."""
-    km, rows = g.trip_length_m / 1000.0, len(g.segment_id)
+def reference_features(graph):
+    """The ten features of a graph of one trip, term by term, in Python
+    floats, sums added in order."""
+    g = SimpleNamespace(**{name: getattr(graph, name).tolist()
+                           for name in TripGraph.__dataclass_fields__})
+    (length,), (displacement,) = g.trip_length_m, g.net_displacement_m
+    (resultant,) = g.cog_resultant
+    km, rows = length / 1000.0, len(g.segment_id)
     turns = (circular_diff_deg(g.avg_direction_deg[a], g.avg_direction_deg[b])
              for a, b in zip(g.traversal_sequence, g.traversal_sequence[1:]))
     return FeatureVector(
-        min(1.0, g.net_displacement_m / g.trip_length_m), sum(g.n_traversals) / rows,
-        sum(n >= 2 for n in g.n_traversals) / rows, added(turns) / km, 1.0 - g.cog_resultant,
+        min(1.0, displacement / length), sum(g.n_traversals) / rows,
+        sum(n >= 2 for n in g.n_traversals) / rows, added(turns) / km, 1.0 - resultant,
         sum(g.n_hard_brakes) / km, float(max(g.n_hard_brakes)),
         sum(g.n_hard_accels) / km, float(max(g.n_hard_accels)),
         added(s * n for s, n in zip(g.avg_speed_mps, g.n_points)) / sum(g.n_points))
 
 
 def one_trip_features(trip, network, config):
-    """The trip alone through the one-trip calls: its (length, features,
-    reference graph), the features equal, bit for bit, to those of the
-    point walk; or its rejection as (reason, n_matched, matched_fraction)."""
-    try:
-        matched = match_trip(trip, network, config)
-    except MatchRejected as exc:
-        return exc.reason, exc.n_matched, exc.matched_fraction
+    """The trip alone, a run of one: its (length, features, reference
+    graph), the graph equal, bit for bit, to the point walk's and the
+    features to those computed from it term by term; or its rejection as
+    (reason, n_matched, matched_fraction)."""
+    matched = match_trip(trip, network, config)
+    if matched.rejected:
+        (reason, _, _, n_matched), = matched.rejected
+        return reason, n_matched, n_matched / len(trip)
     graph, reference = build_trip_graph(matched, network), reference_graph(matched, network)
-    assert repr(graph) == repr(reference)
-    features = extract_features(graph)
-    assert np.array(features).view(np.int64).tolist() == \
+    assert_same_graphs(graph, reference)
+    features = np.concatenate(extract_features(graph))
+    assert features.view(np.int64).tolist() == \
         np.array(reference_features(reference)).view(np.int64).tolist()
-    return graph.trip_length_m, features, reference
+    return graph.trip_length_m.item(), FeatureVector(*features), reference
 
 
 @pytest.mark.filterwarnings("ignore:degenerate mean")    # U-turns cancel on a row
@@ -640,9 +669,9 @@ def one_trip_features(trip, network, config):
 def test_random_run_features_equal_one_trip_features(case, workers):
     """Each trip's graph and feature row from match_and_build,
     filter_by_min_length and extract_feature_table, bit for bit, or its
-    rejection, equals what the one-trip calls and the point walk give on
-    the trip alone, for any chunk and run sizes and 1-4 forked parts; a
-    trip exactly alpha long is dropped."""
+    rejection, equals what match_trip, build_trip_graph, extract_features
+    and the point walk give on the trip alone, for any chunk and run sizes
+    and 1-4 forked parts; a trip exactly alpha long is dropped."""
     network, trips, config, chunk, run_points, at_alpha = case
     try:
         want = [one_trip_features(trip, network, config) for trip in trips]
@@ -666,7 +695,7 @@ def test_random_run_features_equal_one_trip_features(case, workers):
     for trip, result in zip(trips, want):
         key = (trip.driver_id, trip.trip_id)
         if isinstance(result[1], FeatureVector):
-            assert repr(next(built)) == repr(result[2])
+            assert_same_graphs(next(built), result[2])
         if not isinstance(result[1], FeatureVector):
             reason, driver_id, trip_id, n = next(rejections)
             assert (reason, (driver_id, trip_id), n, n / len(trip)) == \
@@ -680,9 +709,9 @@ def test_random_run_features_equal_one_trip_features(case, workers):
 
 
 @given(st.lists(st.integers(2, 60), max_size=12), st.integers(1, 5))
-def test_trip_runs_cut_at_trip_ends_past_each_share(lengths, n):
+def test_trip_parts_cut_at_trip_ends_past_each_share(lengths, n):
     trips = [line_trip([(40.0, -86.0)] * k, [0.0] * k) for k in lengths]
-    runs = pipeline._trip_runs(trips, n)
+    runs = pipeline._trip_parts(trips, n)
     bounds = [lo for lo, _ in runs] + [runs[-1][1]]
     assert bounds[0] == 0 and bounds[-1] == len(trips)
     assert all(lo < hi for lo, hi in runs) or runs == [(0, 0)]
@@ -706,7 +735,8 @@ def test_chunked_match_all_zero_length_segment_raises_as_per_trip(chunk):
              line_trip(on_line, [90.0, 90.0], trip=3)]
     with pytest.raises(ValueError, match="zero-length"):
         match_trip(trips[2], network, AnalysisConfig())
-    assert_chunked_run_equals_per_trip(network, trips, AnalysisConfig(), chunk)
+    assert_chunked_run_equals_per_trip(network, trips, AnalysisConfig(), chunk,
+                                       matching.RUN_POINTS)
 
 
 def test_chunked_match_all_keeps_rejections_in_place(line_network):
@@ -719,7 +749,8 @@ def test_chunked_match_all_keeps_rejections_in_place(line_network):
              line_trip(on_line[:1] + far, [90.0] * 3, trip=2),
              line_trip(on_line[:2], [270.0] * 2, trip=3)]
     for chunk in (1, 2, 4, 5, 1024):
-        assert_chunked_run_equals_per_trip(line_network, trips, AnalysisConfig(), chunk)
-    results = match_chunks(trips, line_network, AnalysisConfig())
-    assert [type(r) for r in results] == [MatchedTrip, MatchRejected, MatchRejected, MatchedTrip]
-    assert [r.reason for r in results[1:3]] == ["empty_match", "poor_match"]
+        assert_chunked_run_equals_per_trip(line_network, trips, AnalysisConfig(), chunk,
+                                           matching.RUN_POINTS)
+    results, _ = match_runs(trips, line_network, AnalysisConfig())
+    assert [type(r) for r in results] == [MatchedTrip, tuple, tuple, MatchedTrip]
+    assert [r[0] for r in results[1:3]] == ["empty_match", "poor_match"]

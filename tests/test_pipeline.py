@@ -135,7 +135,7 @@ def test_zero_length_segment_in_second_part_raises_as_in_one(small_dataset, tmp_
     trips, _ = with_moved_point(small_dataset.trips_path)
     lat, lon = float(trips[-1].lat[-1]), float(trips[-1].lon[-1])
     network = with_zero_length_segment(small_dataset.nodes_path, small_dataset.segments_path)
-    (_, first_end), (second_start, _) = pipeline._trip_runs(trips, 2)
+    (_, first_end), (second_start, _) = pipeline._trip_parts(trips, 2)
     assert first_end == second_start < len(trips) - 1
     for trip in trips[:-1]:
         match_trip(trip, network, CONFIG)
@@ -164,7 +164,7 @@ def test_alpha_drops_short_trips(small_dataset, tmp_path):
     network = parse_road_network(small_dataset.nodes_path, small_dataset.segments_path)
     trips, _ = parse_trips(small_dataset.trips_path)
     lengths = sorted(
-        build_trip_graph(match_trip(t, network, CONFIG), network).trip_length_m
+        build_trip_graph(match_trip(t, network, CONFIG), network).trip_length_m.item()
         for t in trips
     )
     alpha = lengths[len(lengths) // 2]    # median, guaranteed to split the set

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsift.features import extract_features
+from tripsift.features import FeatureVector, extract_features
 from tripsift.geo import haversine_m
 from tripsift.matching import MatchedTrip, SnapResult
 from tripsift.model import FLOAT_COLUMNS, TRIP_COLUMNS, RoadNetwork, RoadNode, RoadSegment, Trip
@@ -50,11 +50,19 @@ def mp(seg, direction, ts, speed=10.0, cog=90.0, brake=0, accel=0, lat=40.0, lon
     return (ts, 100 + ts, lat, lon, speed, cog, accel, brake), (seg, direction)
 
 
+def snap(segment_id, distance_m, lat, lon):
+    """One trip's snap result, in the array form a MatchedTrip holds."""
+    return SnapResult(np.array([segment_id]), np.array([distance_m]), np.array([lat]),
+                      np.array([lon]))
+
+
 def matched_points(rows, edges, first, last, trip_id=1):
-    """A fully matched trip of these rows, each on its (segment, direction) edge."""
-    return MatchedTrip(trip_of_rows(rows, trip_id), np.arange(len(rows)),
+    """A fully matched trip of these rows, each on its (segment, direction)
+    edge, as a run of one."""
+    return MatchedTrip([trip_of_rows(rows, trip_id)], np.arange(len(rows)),
                        np.array([seg for seg, _ in edges]),
-                       np.array([direction for _, direction in edges]), first, last, 1.0)
+                       np.array([direction for _, direction in edges]), first, last,
+                       np.array([1.0]), [])
 
 
 def matched_trip(mps, trip_id=1):
@@ -62,8 +70,12 @@ def matched_trip(mps, trip_id=1):
     (first, first_key), (last, last_key) = mps[0], mps[-1]
     # a row's lat and lon are its third and fourth fields
     return matched_points([row for row, _ in mps], [key for _, key in mps],
-                          SnapResult(first_key[0], 1.0, *first[2:4]),
-                          SnapResult(last_key[0], 1.0, *last[2:4]), trip_id)
+                          snap(first_key[0], 1.0, *first[2:4]),
+                          snap(last_key[0], 1.0, *last[2:4]), trip_id)
+
+
+def keys_of(graph):
+    return list(zip(graph.segment_id.tolist(), graph.direction.tolist()))
 
 
 def derive(fixes, accel_threshold):
@@ -127,9 +139,8 @@ def test_build_graph_rows_in_first_traversal_order(two_segment_network):
         mp(11, 1, 0), mp(11, 1, 1), mp(10, -1, 2), mp(10, -1, 3),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    keys = list(zip(graph.segment_id, graph.direction))
-    assert keys == [(11, 1), (10, -1)]
-    assert graph.traversal_sequence == [0, 1]
+    assert keys_of(graph) == [(11, 1), (10, -1)]
+    assert graph.traversal_sequence.tolist() == [0, 1]
 
 
 def test_build_graph_aggregates(two_segment_network):
@@ -151,8 +162,7 @@ def test_build_graph_same_segment_opposite_directions_are_two_rows(two_segment_n
         mp(10, 1, 0), mp(10, 1, 1), mp(10, -1, 2),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    keys = list(zip(graph.segment_id, graph.direction))
-    assert keys == [(10, 1), (10, -1)]
+    assert keys_of(graph) == [(10, 1), (10, -1)]
 
 
 def test_build_graph_revisit_counts_two_traversals(two_segment_network):
@@ -160,15 +170,15 @@ def test_build_graph_revisit_counts_two_traversals(two_segment_network):
         mp(10, 1, 0), mp(11, 1, 1), mp(10, 1, 2), mp(10, 1, 3),
     ])
     graph = build_trip_graph(matched, two_segment_network)
-    keys = list(zip(graph.segment_id, graph.direction))
-    assert [keys[i] for i in graph.traversal_sequence] == [(10, 1), (11, 1), (10, 1)]
+    keys = keys_of(graph)
+    assert [keys[i] for i in graph.traversal_sequence.tolist()] == [(10, 1), (11, 1), (10, 1)]
     row10 = keys.index((10, 1))
     assert graph.n_traversals[row10] == 2
     assert graph.n_points[row10] == 3
     # revisit adds the segment length a second time
     seg10 = two_segment_network.segments[10].length_m
     seg11 = two_segment_network.segments[11].length_m
-    assert graph.trip_length_m == pytest.approx(2 * seg10 + seg11)
+    assert graph.trip_length_m.tolist() == [pytest.approx(2 * seg10 + seg11)]
 
 
 def test_net_displacement_uses_snapped_positions(two_segment_network):
@@ -176,29 +186,22 @@ def test_net_displacement_uses_snapped_positions(two_segment_network):
     points = [mp(10, 1, 0, lat=40.0001, lon=-86.0), mp(10, 1, 1, lat=40.0001, lon=-85.995),
               mp(11, 1, 2, lat=40.0002, lon=-85.985)]
     matched = matched_points([row for row, _ in points], [key for _, key in points],
-                             SnapResult(10, 11.1, 40.0, -86.0),
-                             SnapResult(11, 22.2, 40.0, -85.985))
+                             snap(10, 11.1, 40.0, -86.0),
+                             snap(11, 22.2, 40.0, -85.985))
     graph = build_trip_graph(matched, two_segment_network)
-    assert graph.net_displacement_m == pytest.approx(
-        haversine_m(40.0, -86.0, 40.0, -85.985), abs=1e-9)
+    assert graph.net_displacement_m.tolist() == [pytest.approx(
+        haversine_m(40.0, -86.0, 40.0, -85.985), abs=1e-9)]
 
 
 def test_cog_resultant_range(two_segment_network):
     aligned = matched_trip([mp(10, 1, 0, cog=90.0), mp(10, 1, 1, cog=90.0)])
     scattered = matched_trip([mp(10, 1, 0, cog=0.0), mp(10, 1, 1, cog=180.0)], trip_id=2)
-    assert build_trip_graph(aligned, two_segment_network).cog_resultant == 1.0
+    assert build_trip_graph(aligned, two_segment_network).cog_resultant.tolist() == [1.0]
     # opposed courses cancel: the row mean degenerates (warned) but the
     # resultant length is still exactly what the feature needs
     with pytest.warns(RuntimeWarning, match="degenerate"):
         graph = build_trip_graph(scattered, two_segment_network)
-    assert graph.cog_resultant == pytest.approx(0.0, abs=1e-12)
-
-
-def test_build_graph_empty_raises(two_segment_network):
-    with pytest.raises(ValueError, match="no matched points"):
-        trip = matched_trip([mp(10, 1, 0), mp(10, 1, 1)]).trip
-        build_trip_graph(MatchedTrip(trip, np.arange(0), np.arange(0), np.arange(0),
-                                     None, None, 0.0), two_segment_network)
+    assert graph.cog_resultant.tolist() == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_filter_by_min_length_strict(two_segment_network):
@@ -236,7 +239,7 @@ SQUARE = make_network(
 
 def snap_on(seg, frac):
     a, b = SQUARE.segment_endpoints(seg)
-    return SnapResult(seg, 0.0, a.lat + frac * (b.lat - a.lat), a.lon + frac * (b.lon - a.lon))
+    return snap(seg, 0.0, a.lat + frac * (b.lat - a.lat), a.lon + frac * (b.lon - a.lon))
 
 
 @st.composite
@@ -262,9 +265,10 @@ def square_trips(draw):
     last = snap_on(edges[-1][0], draw(st.floats(0.0, 1.0)))
     # one more fix that did not snap, so that a trip can have a single matched point
     unmatched = (len(rows), 100 + len(rows), 41.0, -86.0, 10.0, 0.0, 0, 0)
-    return MatchedTrip(trip_of_rows(rows + [unmatched]), np.arange(len(rows)),
+    return MatchedTrip([trip_of_rows(rows + [unmatched])], np.arange(len(rows)),
                        np.array([seg for seg, _ in edges]),
-                       np.array([direction for _, direction in edges]), first, last, 1.0)
+                       np.array([direction for _, direction in edges]), first, last,
+                       np.array([1.0]), [])
 
 
 @pytest.mark.filterwarnings("ignore:degenerate mean")
@@ -272,8 +276,8 @@ def square_trips(draw):
 @given(square_trips())
 def test_random_trip_graph_invariants(matched):
     graph = build_trip_graph(matched, SQUARE)
-    seq = graph.traversal_sequence
-    keys = list(zip(graph.segment_id, graph.direction))
+    seq = graph.traversal_sequence.tolist()
+    keys = keys_of(graph)
     edges = list(zip(matched.segment_id.tolist(), matched.direction.tolist()))
     assert keys == list(dict.fromkeys(edges))
     columns = (graph.avg_speed_mps, graph.avg_direction_deg, graph.length_m, graph.n_hard_brakes,
@@ -284,10 +288,11 @@ def test_random_trip_graph_invariants(matched):
     assert all(a != b for a, b in zip(seq, seq[1:]))
     runs = [key for i, key in enumerate(edges) if i == 0 or key != edges[i - 1]]
     assert [keys[i] for i in seq] == runs
-    assert graph.trip_length_m == pytest.approx(
-        sum(SQUARE.segments[graph.segment_id[i]].length_m for i in seq), rel=1e-12)
+    assert graph.trip_length_m.tolist() == [pytest.approx(
+        sum(SQUARE.segments[keys[i][0]].length_m for i in seq), rel=1e-12)]
 
-    f = extract_features(graph)
+    # the graph's one trip's features, one entry each
+    f = FeatureVector(*np.concatenate(extract_features(graph)).tolist())
     assert all(math.isfinite(v) for v in f)
     assert 0.0 <= f.displacement_ratio <= 1.0
     assert f.repetition_ratio >= 1.0
