@@ -31,7 +31,7 @@ def run(base: Path, seed: int) -> None:
     config = AnalysisConfig(alpha=0.0, rng_seed=seed)
     result = run_pipeline(data.nodes_path, data.segments_path, data.trips_path,
                           base / "run", config)
-    print(f"pipeline counts: {result.counts}")
+    print(f"pipeline counts: {result.record.counts}")
     print(f"contamination threshold: {result.contamination_threshold:.4f}")
     print()
 

@@ -5,9 +5,11 @@ evaluate (against ground truth), plus match and score for debugging
 single stages. Every knob can also come from a flat key=value config
 file; explicit flags win. Each flag maps to a field of SynthSpec or
 AnalysisConfig (or a keyword of run_pipeline), which holds its type and
-default. Every run writes a manifest recording inputs, parameters, and
-per-stage counts: manifest.json in the output directory, or
-<out stem>.manifest.json beside the metrics file for evaluate.
+default. Every run writes a manifest: inputs, parameters, outcome and
+the run's RunRecord, rendered as summary.json renders it (counts, stage
+times and peaks, rejections), as far as the run got. It is
+manifest.json in the output directory, or <out stem>.manifest.json
+beside the metrics file for evaluate.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 empty
 pipeline, 4 evaluation mismatch, 1 unexpected failure.
@@ -34,7 +36,7 @@ from .features import read_feature_table
 from .iforest import load_model
 from .ingest import removed_on_failure, write_csv
 from .model import AnalysisConfig
-from .pipeline import (EmptyPipelineError, StageLog, ingest_inputs, match_and_build, run_pipeline,
+from .pipeline import (EmptyPipelineError, RunRecord, ingest_inputs, match_and_build, run_pipeline,
                        score_and_write)
 from .scoring import read_driver_classifications
 from .synth import SynthSpec, generate_dataset
@@ -202,62 +204,45 @@ def _sha256(path: Path) -> Optional[str]:
         return None
 
 
-def _write_manifest(
-    path: Path,
-    command: str,
-    params: dict[str, Any],
-    inputs: list[Path],
-    outcome: str,
-    error: Optional[str],
-    wall_clock_s: float,
-    counts: Optional[dict[str, Any]] = None,
-    stages: Optional[dict[str, float]] = None,
-) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "params": params,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outcome": outcome,
-        "error": error,
-        "wall_clock_s": wall_clock_s,
-    }
-    if counts is not None:
-        doc["counts"] = counts
-    if stages is not None:
-        doc["stages"] = stages
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 class _ManifestWriter:
-    """Collects run facts and guarantees the manifest lands, success or not."""
+    """Owns the run's RunRecord and writes the manifest when the run ends,
+    success or not. A manifest that cannot be written fails a run that
+    succeeded; when the run itself raised, that error is the one reported
+    and the manifest's is only logged."""
 
     def __init__(self, path: Path, command: str, params: dict[str, Any], inputs: list[Path]):
         self.path = path
         self.command = command
         self.params = params
         self.inputs = inputs
-        self.counts: Optional[dict[str, Any]] = None
-        self.stages: Optional[dict[str, float]] = None
+        self.record = RunRecord()
         self.t0 = time.perf_counter()
 
     def __enter__(self) -> "_ManifestWriter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _write_manifest(
-            self.path, self.command, self.params, self.inputs,
-            outcome="success" if exc is None else "error",
-            error=None if exc is None else str(exc),
-            wall_clock_s=time.perf_counter() - self.t0,
-            counts=self.counts,
-            stages=self.stages,
-        )
+        doc = {
+            "command": self.command,
+            "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "params": self.params,
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outcome": "success" if exc is None else "error",
+            "error": None if exc is None else str(exc),
+            "wall_clock_s": time.perf_counter() - self.t0,
+            **self.record.render(),
+        }
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "w") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as write_error:
+            if exc is None:
+                raise
+            log.warning("could not write manifest: %s", write_error)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -267,12 +252,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "generate", vals, []) as manifest:
         summary = generate_dataset(spec, out)
-        manifest.counts = {
-            "n_trips": summary.n_trips,
-            "n_drivers": summary.n_drivers,
-            "abnormal_drivers": summary.abnormal_drivers,
-            "kind_counts": dict(summary.kind_counts),
-        }
+        manifest.record.counts.update(
+            n_trips=summary.n_trips,
+            n_drivers=summary.n_drivers,
+            abnormal_drivers=summary.abnormal_drivers,
+            kind_counts=dict(summary.kind_counts),
+        )
         log.info("generated %d trips for %d drivers (%d abnormal) in %s",
                  summary.n_trips, summary.n_drivers, len(summary.abnormal_drivers), out)
     return EXIT_OK
@@ -287,16 +272,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with _ManifestWriter(out / "manifest.json", "pipeline", vals,
                          [nodes_path, segments_path, trips_path]) as manifest:
-        stages = StageLog()
-        manifest.stages = stages.seconds
-        result = run_pipeline(
+        run_pipeline(
             nodes_path, segments_path, trips_path, out, config,
             per_category=vals["per_category"],
             workers=vals["workers"],
             save_model_json=vals["save_model"],
-            stages=stages,
+            record=manifest.record,
         )
-        manifest.counts = result.counts
         log.info("pipeline complete: outputs in %s", out)
     return EXIT_OK
 
@@ -311,11 +293,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     with _ManifestWriter(out / "manifest.json", "match", vals,
                          [nodes_path, segments_path, trips_path]) as manifest, \
             removed_on_failure() as written:
-        stages = StageLog()
-        manifest.stages = stages.seconds
-        network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
-                                               config, stages)
-        graphs, rejected = match_and_build(trips, network, config, stages)
+        network, trips = ingest_inputs(nodes_path, segments_path, trips_path, config,
+                                       manifest.record)
+        graphs, rejected = match_and_build(trips, network, config, manifest.record)
         rejections = {(driver_id, trip_id): (reason, n) for reason, driver_id, trip_id, n in rejected}
         matched = iter(graphs.split())
         matrices_dir = out / "matrices"
@@ -331,12 +311,10 @@ def cmd_match(args: argparse.Namespace) -> int:
                 write_matrix_csv(graph, matrix_path)
             rows.append([trip.driver_id, trip.trip_id, len(trip), n_kept,
                          f"{n_kept / len(trip):.4f}", status])
-        n_matched = len(graphs.driver_id)
         written.append(out / "matched_trips.csv")
         write_csv(out / "matched_trips.csv", MATCHED_TRIP_COLUMNS, rows)
-        manifest.counts = {"trips": len(trips), "matched": n_matched,
-                           **{f"points_{k}": v for k, v in report.rejection_reasons.items()}}
-        log.info("matched %d of %d trips; matrices in %s", n_matched, len(trips), matrices_dir)
+        log.info("matched %d of %d trips; matrices in %s",
+                 len(graphs.driver_id), len(trips), matrices_dir)
     return EXIT_OK
 
 
@@ -350,15 +328,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     inputs = [Path(args.features)] + ([Path(args.model)] if args.model else [])
     with _ManifestWriter(out / "manifest.json", "score", vals, inputs) as manifest, \
             removed_on_failure() as written:
-        stages = StageLog()
-        manifest.stages = stages.seconds
         table = read_feature_table(args.features)
         trip_scores, reports, _, _ = score_and_write(
-            table, config, out, written, stages,
+            table, config, out, written, manifest.record,
             per_category=vals["per_category"],
             model=load_model(args.model) if args.model else None,
             save_model_json=vals["save_model"])
-        manifest.counts = {"trips_scored": len(trip_scores), "drivers": len(reports)}
         log.info("scored %d trips, %d drivers; outputs in %s", len(trip_scores), len(reports), out)
     return EXIT_OK
 
@@ -373,7 +348,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         counts = confusion(predicted, truth)
         m = metrics(counts)
         write_metrics_json(m, counts, out_path)
-        manifest.counts = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn}
+        manifest.record.counts.update(tp=counts.tp, tn=counts.tn, fp=counts.fp, fn=counts.fn)
         print(f"accuracy {m.accuracy:.4f}")
         print(f"precision {m.precision:.4f}")
         print(f"recall {m.recall:.4f}")

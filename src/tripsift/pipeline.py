@@ -6,9 +6,11 @@ with hard events derived when the file has none), match_and_build
 (every trip matched and every matched trip's Edge-Attributed Matrix
 built, one run of consecutive trips at a time, in up to `workers`
 processes) and score_and_write (forest scores, driver ranking, score
-files). Each stage adds its time
-to a StageLog, which also keeps the peak RSS of the process and its
-worker processes as the stage ended, also when the stage raised.
+files). Each stage writes what it did into the run's RunRecord: its
+time, the peak RSS of the process and its worker processes as the stage
+ended (also when the stage raised), and its own counts and rejection
+tallies. RunRecord.render is the one form of the record that both
+summary.json and the CLI's manifest.json carry.
 
 Outputs land in one directory: features.csv, trip_scores.csv,
 driver_report.csv, summary.json (and model.json on request). On any
@@ -25,14 +27,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 import numpy as np
 
 from .features import FeatureTable, extract_feature_table, write_feature_table
 from .forked import process_count, run_parts
 from .iforest import IForestModel, save_model, threshold_from_contamination
-from .ingest import IngestReport, parse_road_network, parse_trips, removed_on_failure
+from .ingest import parse_road_network, parse_trips, removed_on_failure
 from .matching import match_trip, trip_runs
 from .model import AnalysisConfig, RoadNetwork, Trip
 from .scoring import (DriverReport, TripScore, aggregate_drivers, score_trips,
@@ -47,45 +49,20 @@ class EmptyPipelineError(RuntimeError):
 
 
 @dataclass
-class PipelineResult:
-    config: AnalysisConfig
-    ingest_report: IngestReport
-    n_match_rejected: int
-    match_rejections: dict[str, int]
-    n_points_matched: int                     # matched points over all matched trips
-    n_alpha_dropped: int
-    table: FeatureTable
-    trip_scores: list[TripScore]
-    driver_reports: list[DriverReport]
-    model: IForestModel
-    contamination_threshold: float
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    stage_peak_rss_mb: dict[str, float] = field(default_factory=dict)
-    outputs: dict[str, Path] = field(default_factory=dict)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {
-            "points_read": self.ingest_report.n_points_read,
-            "points_rejected": self.ingest_report.n_points_rejected,
-            "points_matched": self.n_points_matched,
-            "trips_parsed": self.ingest_report.n_trips,
-            "trips_match_rejected": self.n_match_rejected,
-            "trips_alpha_dropped": self.n_alpha_dropped,
-            "trips_scored": len(self.trip_scores),
-            "drivers": len(self.driver_reports),
-        }
-
-
-@dataclass
-class StageLog:
-    """Seconds spent per stage, and the peak RSS in MB when each stage last
-    ended: the larger high-water mark (ru_maxrss, which Linux reports in
-    KiB) of this process and of its waited-for children, which include
-    the worker processes of parse_trips, match_and_build and fit."""
+class RunRecord:
+    """What a run did, stage by stage: seconds spent per stage; the peak RSS
+    in MB when each stage last ended, the larger high-water mark
+    (ru_maxrss, which Linux reports in KiB) of this process and of its
+    waited-for children, which include the worker processes of
+    parse_trips, match_and_build and fit; the item counts each stage
+    wrote; the ingest rejections by reason (points) and the matching
+    rejections by reason (trips)."""
 
     seconds: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
+    counts: dict[str, Any] = field(default_factory=dict)
+    rejection_reasons: dict[str, int] = field(default_factory=dict)
+    match_rejections: dict[str, int] = field(default_factory=dict)
 
     @contextmanager
     def timed(self, stage: str) -> Iterator[None]:
@@ -103,44 +80,72 @@ class StageLog:
             resource.getrusage(who).ru_maxrss / 1024.0
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
+    def render(self) -> dict[str, dict[str, Any]]:
+        """The record as summary.json and manifest.json both write it."""
+        return {
+            "counts": dict(self.counts),
+            "stage_seconds": dict(self.seconds),
+            "stage_peak_rss_mb": dict(self.peak_rss_mb),
+            "match_rejections": dict(self.match_rejections),
+            "rejection_reasons": dict(self.rejection_reasons),
+        }
+
+
+@dataclass
+class PipelineResult:
+    config: AnalysisConfig
+    record: RunRecord
+    table: FeatureTable
+    trip_scores: list[TripScore]
+    driver_reports: list[DriverReport]
+    model: IForestModel
+    contamination_threshold: float
+    outputs: dict[str, Path] = field(default_factory=dict)
+
 
 def ingest_inputs(
     nodes_path: Union[str, Path],
     segments_path: Union[str, Path],
     trips_path: Union[str, Path],
     config: AnalysisConfig,
-    stages: StageLog,
+    record: RunRecord,
     workers: int = 1,
-) -> tuple[RoadNetwork, list[Trip], IngestReport]:
+) -> tuple[RoadNetwork, list[Trip]]:
     """Read the network and the trips (in up to `workers` processes); derive
-    hard events when the trip file has none."""
-    with stages.timed("ingest"):
+    hard events when the trip file has none. Records points_read,
+    points_rejected, trips_parsed and the rejections by reason."""
+    with record.timed("ingest"):
         network = parse_road_network(nodes_path, segments_path)
         trips, report = parse_trips(trips_path, workers=workers)
+    record.counts.update(points_read=report.n_points_read,
+                         points_rejected=report.n_points_rejected,
+                         trips_parsed=report.n_trips)
+    record.rejection_reasons.update(report.rejection_reasons)
     log.info("ingest: %d points read, %d rejected, %d trips, %d segments",
              report.n_points_read, report.n_points_rejected, report.n_trips,
              len(network.segments))
-    with stages.timed("events"):
+    with record.timed("events"):
         if not report.has_event_columns and trips:
             log.info("no event columns in input; deriving hard events at %.1f m/s^2",
                      config.hard_event_accel_threshold)
             for t in trips:
                 t.hard_accel, t.hard_brake = detect_events(
                     t.timestamp, t.speed_mps, config.hard_event_accel_threshold)
-    return network, trips, report
+    return network, trips
 
 
 def match_and_build(
     trips: list[Trip],
     network: RoadNetwork,
     config: AnalysisConfig,
-    stages: StageLog,
+    record: RunRecord,
     workers: int = 1,
 ) -> tuple[TripGraph, list[tuple[str, int, int, int]]]:
     """Match every trip and build the graph of each matched one, in up to
     `workers` processes; return the graphs, as one TripGraph, and each
     rejection as (reason, driver_id, trip_id, n_matched), both in input
-    order.
+    order. Records points_matched (over the matched trips),
+    trips_match_rejected and the rejections by reason.
 
     The trips are cut into parts of consecutive trips holding about equal
     numbers of points. Each part is matched and built on its own, the
@@ -155,16 +160,24 @@ def match_and_build(
         ValueError: a point snapped to a zero-length segment.
     """
     bounds = _trip_parts(trips, process_count(workers))
-    with stages.timed("match"):
+    with record.timed("match"):
         parts = run_parts(_match_and_build_part,
                           [(trips[lo:hi], network, config) for lo, hi in bounds])
     graph_parts, rejected_parts, graphs_seconds = zip(*parts)
     graphs = TripGraph.join(graph_parts)
+    rejected = [r for part in rejected_parts for r in part]
     # the first part built its graphs in this process: that time is the graphs stage's
-    stages.add("match", -graphs_seconds[0])
+    record.add("match", -graphs_seconds[0])
     if len(graphs.driver_id):
-        stages.add("graphs", graphs_seconds[0])
-    return graphs, [r for part in rejected_parts for r in part]
+        record.add("graphs", graphs_seconds[0])
+    record.counts.update(points_matched=int(graphs.n_points.sum()),
+                         trips_match_rejected=len(rejected))
+    for reason, driver_id, trip_id, _ in rejected:
+        record.match_rejections[reason] = record.match_rejections.get(reason, 0) + 1
+        log.debug("match rejected (%s): driver %d trip %d", reason, driver_id, trip_id)
+    log.info("match: %d trips matched, %d rejected %s",
+             len(graphs.driver_id), len(rejected), record.match_rejections or "")
+    return graphs, rejected
 
 
 def _trip_parts(trips: list[Trip], n: int) -> list[tuple[int, int]]:
@@ -182,14 +195,14 @@ def _match_and_build_part(
 ) -> tuple[TripGraph, list[tuple[str, int, int, int]], float]:
     """One part's graphs and rejections, as plain data a forked part sends
     back, and the seconds its graph building took."""
-    stages = StageLog()
+    record = RunRecord()
     graphs, rejected = [], []
     for run in trip_runs(trips):
         matched = match_trip(run, network, config)
         rejected += matched.rejected
-        with stages.timed("graphs"):
+        with record.timed("graphs"):
             graphs.append(build_trip_graph(matched, network))
-    return TripGraph.join(graphs), rejected, stages.seconds.get("graphs", 0.0)
+    return TripGraph.join(graphs), rejected, record.seconds.get("graphs", 0.0)
 
 
 def score_and_write(
@@ -197,7 +210,7 @@ def score_and_write(
     config: AnalysisConfig,
     out: Path,
     written: list[Path],
-    stages: StageLog,
+    record: RunRecord,
     per_category: bool = False,
     model: Optional[IForestModel] = None,
     save_model_json: bool = False,
@@ -206,21 +219,23 @@ def score_and_write(
     """Score the trips (fitting a forest in up to `workers` processes unless
     `model` is given), rank the drivers, and write trip_scores.csv,
     driver_report.csv and, with save_model_json, model.json into out. Each
-    path is appended to `written` before it is opened.
+    path is appended to `written` before it is opened. Records trips_scored
+    and drivers.
 
     Raises:
         EmptyPipelineError: fewer than 2 trips in the table.
     """
     if len(table) < 2:
         raise EmptyPipelineError("fewer than 2 trips available to score")
-    with stages.timed("score"):
+    with record.timed("score"):
         trip_scores, model = score_trips(table, config, per_category=per_category, model=model,
                                          workers=workers)
         reports = aggregate_drivers(trip_scores, config)
+    record.counts.update(trips_scored=len(trip_scores), drivers=len(reports))
     log.info("score: %d trips, %d drivers, %d drivers classified abnormal",
              len(trip_scores), len(reports), sum(1 for r in reports if r.abnormal))
 
-    with stages.timed("write"):
+    with record.timed("write"):
         outputs = {"trip_scores": out / "trip_scores.csv",
                    "driver_report": out / "driver_report.csv"}
         if save_model_json:
@@ -242,7 +257,7 @@ def run_pipeline(
     per_category: bool = False,
     workers: int = 1,
     save_model_json: bool = False,
-    stages: Optional[StageLog] = None,
+    record: Optional[RunRecord] = None,
 ) -> PipelineResult:
     """Run the whole pipeline and write its outputs.
 
@@ -254,9 +269,9 @@ def run_pipeline(
     joined in order, so every output is the same for any workers. Events
     run in this process, one trip after another; the minimum-length filter
     and the features run in this process as array passes over the joined
-    graphs. The stage times and peaks go
-    into `stages` when it is given, so the caller keeps them when the run
-    fails.
+    graphs. The run's record is written into `record` when it is given,
+    so the caller keeps the times, peaks and counts of the stages that ran
+    when the run fails.
 
     Raises:
         ValueError: workers below 1.
@@ -268,7 +283,7 @@ def run_pipeline(
     with removed_on_failure() as written:
         return _run(Path(nodes_path), Path(segments_path), Path(trips_path), out,
                     config, per_category, save_model_json, workers, written,
-                    StageLog() if stages is None else stages)
+                    RunRecord() if record is None else record)
 
 
 def _run(
@@ -281,35 +296,29 @@ def _run(
     save_model_json: bool,
     workers: int,
     written: list[Path],
-    stages: StageLog,
+    record: RunRecord,
 ) -> PipelineResult:
-    network, trips, report = ingest_inputs(nodes_path, segments_path, trips_path,
-                                           config, stages, workers)
+    network, trips = ingest_inputs(nodes_path, segments_path, trips_path, config, record, workers)
     if not trips:
         raise EmptyPipelineError("no trips parsed from input")
 
-    graphs, rejected = match_and_build(trips, network, config, stages, workers)
-    rejections: dict[str, int] = {}
-    for reason, driver_id, trip_id, _ in rejected:
-        rejections[reason] = rejections.get(reason, 0) + 1
-        log.debug("match rejected (%s): driver %d trip %d", reason, driver_id, trip_id)
-    log.info("match: %d trips matched, %d rejected %s",
-             len(graphs.driver_id), len(rejected), rejections or "")
+    graphs, _ = match_and_build(trips, network, config, record, workers)
     if not len(graphs.driver_id):
         raise EmptyPipelineError("no trips matched the network")
 
-    with stages.timed("graphs"):
+    with record.timed("graphs"):
         kept, dropped = filter_by_min_length(graphs, config.alpha)
+    record.counts["trips_alpha_dropped"] = len(dropped.driver_id)
     log.info("graphs: %d trips kept, %d below min length %.1f m",
              len(kept.driver_id), len(dropped.driver_id), config.alpha)
     if not len(kept.driver_id):
         raise EmptyPipelineError(f"no trips pass the minimum length filter (alpha={config.alpha})")
 
-    with stages.timed("features"):
+    with record.timed("features"):
         table = extract_feature_table(kept)
 
     trip_scores, reports, model, outputs = score_and_write(
-        table, config, out, written, stages,
+        table, config, out, written, record,
         per_category=per_category, save_model_json=save_model_json, workers=workers)
     threshold = threshold_from_contamination([ts.score for ts in trip_scores],
                                              config.contamination)
@@ -317,22 +326,16 @@ def _run(
     written += [outputs["features"], outputs["summary"]]
     result = PipelineResult(
         config=config,
-        ingest_report=report,
-        n_match_rejected=len(rejected),
-        match_rejections=rejections,
-        n_points_matched=int(graphs.n_points.sum()),
-        n_alpha_dropped=len(dropped.driver_id),
+        record=record,
         table=table,
         trip_scores=trip_scores,
         driver_reports=reports,
         model=model,
         contamination_threshold=threshold,
-        stage_seconds=stages.seconds,
-        stage_peak_rss_mb=stages.peak_rss_mb,
         outputs=outputs,
     )
     # summary.json gets the stage times so far; these last writes reach only the manifest
-    with stages.timed("write"):
+    with record.timed("write"):
         write_feature_table(table, outputs["features"])
         _write_summary(result, outputs["summary"])
     return result
@@ -341,11 +344,7 @@ def _run(
 def _write_summary(result: PipelineResult, path: Path) -> None:
     doc = {
         "config": asdict(result.config),
-        "counts": result.counts,
-        "stage_seconds": dict(result.stage_seconds),
-        "stage_peak_rss_mb": dict(result.stage_peak_rss_mb),
-        "match_rejections": result.match_rejections,
-        "rejection_reasons": dict(result.ingest_report.rejection_reasons),
+        **result.record.render(),
         "contamination_threshold": result.contamination_threshold,
         "trips": [
             {

@@ -11,9 +11,10 @@ import pytest
 import tripsift
 from tripsift.cli import (ANALYSIS_OPTIONS, GENERATE_OPTIONS, MATCH_OPTIONS, PIPELINE_OPTIONS,
                           SCORE_OPTIONS, build_config, build_parser, main, resolve_options)
+from tripsift.ingest import parse_trips
 from tripsift.matching import match_trip
 from tripsift.model import AnalysisConfig
-from tripsift.pipeline import StageLog, ingest_inputs
+from tripsift.pipeline import RunRecord, ingest_inputs
 from tripsift.synth import SynthSpec, generate_dataset
 from tripsift.tripgraph import build_trip_graph, write_matrix_csv
 
@@ -49,8 +50,17 @@ def test_full_cli_flow(tmp_path, capsys):
         assert (run / name).exists()
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["outcome"] == "success"
-    assert set(manifest["stages"]) >= {"ingest", "match", "score", "write"}
+    assert set(manifest["stage_seconds"]) >= {"ingest", "match", "score", "write"}
     assert all(isinstance(v, str) for v in manifest["inputs"].values())
+    # both files render one record; summary.json is written inside the last
+    # write stage, so only that stage reads further on in the manifest
+    summary = json.loads((run / "summary.json").read_text())
+    for key in ("counts", "rejection_reasons", "match_rejections"):
+        assert manifest[key] == summary[key]
+    for key in ("stage_seconds", "stage_peak_rss_mb"):
+        assert list(manifest[key]) == list(summary[key])
+        assert all(manifest[key][k] == summary[key][k] for k in summary[key] if k != "write")
+        assert manifest[key]["write"] >= summary[key]["write"]
 
     metrics_path = tmp_path / "metrics.json"
     capsys.readouterr()
@@ -100,23 +110,48 @@ def test_empty_pipeline_exit_code(tmp_path):
                  "--trips", str(header_only), "--out", str(tmp_path / "out")]) == 3
 
 
-def test_failed_pipeline_manifest_keeps_stage_times(tmp_path):
-    """A run that fails in matching still says in its manifest where its time went."""
+def off_network_copy(tmp_path):
+    """A generated dataset and a copy of its trips.csv with every point moved
+    about 11 km north of every road. Returns (dataset dir, trips path)."""
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
     rows = [line.split(",") for line in (data / "trips.csv").read_text().splitlines()]
     lat = rows[0].index("lat")
     for row in rows[1:]:
-        row[lat] = repr(float(row[lat]) + 0.1)  # about 11 km north of every road
+        row[lat] = repr(float(row[lat]) + 0.1)
     moved = tmp_path / "moved.csv"
     moved.write_text("".join(",".join(row) + "\n" for row in rows))
+    return data, moved
+
+
+def test_failed_pipeline_manifest_keeps_stage_times(tmp_path):
+    """A run that fails in matching still says in its manifest where its time
+    went, and what ingest and matching counted."""
+    data, moved = off_network_copy(tmp_path)
     out = tmp_path / "out"
     assert main(["pipeline", "--network", str(data), "--trips", str(moved),
                  "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["outcome"], manifest["error"]) == ("error", "no trips matched the network")
-    assert list(manifest["stages"]) == ["ingest", "events", "match"]
-    assert all(seconds >= 0.0 for seconds in manifest["stages"].values())
+    assert list(manifest["stage_seconds"]) == ["ingest", "events", "match"]
+    assert all(seconds >= 0.0 for seconds in manifest["stage_seconds"].values())
+    counts = manifest["counts"]
+    assert counts["points_read"] == len(moved.read_text().splitlines()) - 1
+    assert counts["trips_parsed"] == 12
+    assert counts["trips_match_rejected"] == counts["trips_parsed"]
+    assert manifest["match_rejections"] == {"empty_match": counts["trips_parsed"]}
+
+
+def test_unwritable_manifest_keeps_the_run_error(tmp_path, caplog):
+    """A manifest that cannot be written is logged; the run's own error and
+    exit code are the ones reported."""
+    data, moved = off_network_copy(tmp_path)
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["pipeline", "--network", str(data), "--trips", str(moved),
+                 "--out", str(out)]) == 3
+    assert "empty pipeline: no trips matched the network" in caplog.text
+    assert "could not write manifest" in caplog.text
 
 
 def test_evaluate_mismatch_exit_code(tmp_path):
@@ -292,6 +327,64 @@ def degraded_copy(data, out):
     return path
 
 
+def ledger_copy(data, out):
+    """degraded_copy, plus a row whose lat is not a number and a one-point
+    trip (trip_too_short). Returns the new trips.csv path."""
+    path = degraded_copy(data, out)
+    lines = path.read_text().splitlines()
+    lat = lines[0].split(",").index("lat")
+    corrupt = lines[-1].split(",")
+    corrupt[lat] = "north"
+    lone = lines[-2].split(",")
+    lone[1] = "9999"
+    path.write_text("\n".join(lines[:-1] + [",".join(corrupt), ",".join(lone)]) + "\n")
+    return path
+
+
+def test_match_manifest_counts_equal_pipeline_summary(tmp_path):
+    """match records its stages under the pipeline's names and figures."""
+    data = generate_dataset(SynthSpec(rng_seed=1), tmp_path / "data")
+    trips_path = ledger_copy(data, tmp_path)
+    args = ["--network", str(tmp_path / "data"), "--trips", str(trips_path), "--out"]
+    assert main(["match"] + args + [str(tmp_path / "match")]) == 0
+    assert main(["pipeline"] + args + [str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "match" / "manifest.json").read_text())
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert set(manifest["counts"]) == {"points_read", "points_rejected", "trips_parsed",
+                                       "points_matched", "trips_match_rejected"}
+    assert manifest["counts"] == {name: summary["counts"][name] for name in manifest["counts"]}
+    assert manifest["rejection_reasons"] == summary["rejection_reasons"] == {
+        "non_numeric": 1, "trip_too_short": 1}
+    assert manifest["match_rejections"] == summary["match_rejections"] == {
+        "empty_match": 1, "poor_match": 1}
+
+
+def test_run_record_ledger_adds_up(tmp_path):
+    """Every point and trip read is accounted for once, by the reason it went."""
+    data = generate_dataset(SynthSpec(rng_seed=1), tmp_path / "data")
+    trips_path = ledger_copy(data, tmp_path)
+    run = tmp_path / "run"
+    # every default-spec trip is a whole number of 500 m edges, the shortest 1500 m
+    assert main(["pipeline", "--network", str(tmp_path / "data"), "--trips", str(trips_path),
+                 "--alpha", "1500", "--out", str(run)]) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    counts, reasons = summary["counts"], summary["rejection_reasons"]
+    assert set(reasons) == {"non_numeric", "trip_too_short"}
+    assert "empty_match" in summary["match_rejections"]
+    assert counts["trips_alpha_dropped"] > 0
+
+    assert sum(reasons.values()) == counts["points_rejected"]
+    trips, _ = parse_trips(trips_path)
+    assert counts["points_read"] - counts["points_rejected"] == sum(len(t) for t in trips)
+    assert counts["trips_parsed"] == (counts["trips_match_rejected"]
+                                      + counts["trips_alpha_dropped"] + counts["trips_scored"])
+    assert sum(summary["match_rejections"].values()) == counts["trips_match_rejected"]
+    scored = [line.split(",")[0] for line in
+              (run / "trip_scores.csv").read_text().splitlines()[1:]]
+    assert counts["trips_scored"] == len(scored)
+    assert counts["drivers"] == len(set(scored))
+
+
 @pytest.mark.parametrize("degraded", [False, True])
 def test_match_outputs_equal_one_trip_match_and_build(tmp_path, degraded):
     """matched_trips.csv holds, per trip, what match_trip on that trip alone
@@ -303,8 +396,8 @@ def test_match_outputs_equal_one_trip_match_and_build(tmp_path, degraded):
                  "--out", str(out)]) == 0
 
     config = AnalysisConfig()
-    network, trips, _ = ingest_inputs(data.nodes_path, data.segments_path, trips_path, config,
-                                      StageLog())
+    network, trips = ingest_inputs(data.nodes_path, data.segments_path, trips_path, config,
+                                   RunRecord())
     rows, matrices = [], {}
     for trip in trips:
         matched = match_trip(trip, network, config)

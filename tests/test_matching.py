@@ -33,7 +33,7 @@ from tripsift.model import (
     RoadSegment,
     Trip,
 )
-from tripsift.pipeline import StageLog, match_and_build
+from tripsift.pipeline import RunRecord, match_and_build
 from tripsift.tripgraph import TripGraph, build_trip_graph, filter_by_min_length
 
 from test_traced_harness import chunk_count
@@ -534,15 +534,15 @@ def test_random_split_match_and_build_equals_one_part(case, workers):
     with mock.patch.object(matching, "CHUNK_POINTS", chunk), \
             mock.patch.object(matching, "RUN_POINTS", run_points):
         try:
-            one = match_and_build(trips, network, config, StageLog())
+            one = match_and_build(trips, network, config, RunRecord())
         except ValueError as exc:
             one = exc
         with mock.patch.object(pipeline, "process_count", lambda w: w):
             if isinstance(one, ValueError):
                 with pytest.raises(ValueError, match=re.escape(str(one))):
-                    match_and_build(trips, network, config, StageLog(), workers)
+                    match_and_build(trips, network, config, RunRecord(), workers)
                 return
-            many = match_and_build(trips, network, config, StageLog(), workers)
+            many = match_and_build(trips, network, config, RunRecord(), workers)
     assert_same_graphs(many[0], one[0])
     assert many[1] == one[1]
 
@@ -684,9 +684,9 @@ def test_random_run_features_equal_one_trip_features(case, workers):
             mock.patch.object(pipeline, "process_count", lambda w: w):
         if isinstance(want, ValueError):
             with pytest.raises(ValueError, match=re.escape(str(want))):
-                match_and_build(trips, network, config, StageLog(), workers)
+                match_and_build(trips, network, config, RunRecord(), workers)
             return
-        graphs, rejected = match_and_build(trips, network, config, StageLog(), workers)
+        graphs, rejected = match_and_build(trips, network, config, RunRecord(), workers)
     kept, dropped = filter_by_min_length(graphs, config.alpha)
     table = extract_feature_table(kept)
     rows = dict(zip(table.keys, table.matrix))

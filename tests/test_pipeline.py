@@ -17,7 +17,7 @@ from tripsift.ingest import parse_road_network, parse_trips
 from tripsift.iforest import load_model, threshold_from_contamination
 from tripsift.matching import match_trip
 from tripsift.model import AnalysisConfig, RoadNode, RoadSegment
-from tripsift.pipeline import EmptyPipelineError, StageLog, run_pipeline
+from tripsift.pipeline import EmptyPipelineError, RunRecord, run_pipeline
 from tripsift.tripgraph import build_trip_graph
 
 CONFIG = AnalysisConfig(alpha=0.0)
@@ -48,13 +48,13 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     result = run(small_dataset, tmp_path / "run", save_model_json=True)
     n_trips = small_dataset.n_trips
 
-    assert result.counts["trips_parsed"] == n_trips
-    assert result.counts["trips_scored"] == n_trips
-    assert result.counts["trips_match_rejected"] == 0
-    assert result.counts["drivers"] == small_dataset.n_drivers
+    assert result.record.counts["trips_parsed"] == n_trips
+    assert result.record.counts["trips_scored"] == n_trips
+    assert result.record.counts["trips_match_rejected"] == 0
+    assert result.record.counts["drivers"] == small_dataset.n_drivers
     network = parse_road_network(small_dataset.nodes_path, small_dataset.segments_path)
     trips, _ = parse_trips(small_dataset.trips_path)
-    assert result.counts["points_matched"] == sum(
+    assert result.record.counts["points_matched"] == sum(
         len(match_trip(trip, network, CONFIG).kept) for trip in trips)
 
     for name in ("features", "trip_scores", "driver_report", "summary", "model"):
@@ -64,15 +64,15 @@ def test_end_to_end_outputs(small_dataset, tmp_path):
     assert len(features_lines) == 1 + n_trips
 
     summary = json.loads(result.outputs["summary"].read_text())
-    assert summary["counts"] == result.counts
+    assert summary["counts"] == result.record.counts
     assert len(summary["trips"]) == n_trips
     assert len(summary["drivers"]) == small_dataset.n_drivers
     assert summary["config"]["alpha"] == 0.0
     # the same timings as the manifest, less the summary's own write
     stages = summary["stage_seconds"]
     assert set(stages) == {"ingest", "events", "match", "graphs", "features", "score", "write"}
-    assert all(stages[k] == result.stage_seconds[k] for k in stages if k != "write")
-    assert stages["write"] <= result.stage_seconds["write"]
+    assert all(stages[k] == result.record.seconds[k] for k in stages if k != "write")
+    assert stages["write"] <= result.record.seconds["write"]
     # the process's high-water mark after each stage, so it never falls
     peaks = summary["stage_peak_rss_mb"]
     assert list(peaks) == list(stages)
@@ -171,8 +171,8 @@ def test_alpha_drops_short_trips(small_dataset, tmp_path):
     config = AnalysisConfig(alpha=alpha)
     result = run(small_dataset, tmp_path / "filtered", config=config)
     expected_kept = sum(1 for v in lengths if v > alpha)
-    assert result.counts["trips_scored"] == expected_kept
-    assert result.counts["trips_alpha_dropped"] == len(lengths) - expected_kept
+    assert result.record.counts["trips_scored"] == expected_kept
+    assert result.record.counts["trips_alpha_dropped"] == len(lengths) - expected_kept
 
 
 def test_alpha_too_high_empties_pipeline(small_dataset, tmp_path):
@@ -223,20 +223,20 @@ def test_events_derived_when_columns_missing(small_dataset, tmp_path):
     bare.write_text("\n".join(stripped) + "\n")
     result = run_pipeline(small_dataset.nodes_path, small_dataset.segments_path,
                           bare, tmp_path / "out", CONFIG)
-    assert result.counts["trips_scored"] == small_dataset.n_trips
+    assert result.record.counts["trips_scored"] == small_dataset.n_trips
     # speed steps planted by the generator are recovered as hard events
     events = [FEATURE_NAMES.index("brakes_per_km"), FEATURE_NAMES.index("accels_per_km")]
     assert (result.table.matrix[:, events] > 0).any()
 
 
 def test_stage_that_raises_is_still_logged():
-    stages = StageLog()
-    with stages.timed("ok"):
+    record = RunRecord()
+    with record.timed("ok"):
         pass
-    with pytest.raises(RuntimeError), stages.timed("boom"):
+    with pytest.raises(RuntimeError), record.timed("boom"):
         raise RuntimeError("stage failed")
-    assert list(stages.seconds) == list(stages.peak_rss_mb) == ["ok", "boom"]
-    assert stages.seconds["boom"] >= 0.0 and stages.peak_rss_mb["boom"] > 0.0
+    assert list(record.seconds) == list(record.peak_rss_mb) == ["ok", "boom"]
+    assert record.seconds["boom"] >= 0.0 and record.peak_rss_mb["boom"] > 0.0
 
 
 def test_stage_peak_rss_counts_worker_processes():
@@ -244,7 +244,7 @@ def test_stage_peak_rss_counts_worker_processes():
     script = """
 import resource
 from tripsift.forked import run_parts
-from tripsift.pipeline import StageLog
+from tripsift.pipeline import RunRecord
 
 def part(megabytes):
     data = b"x" * (megabytes << 20)
@@ -252,11 +252,11 @@ def part(megabytes):
 
 # this process's ru_maxrss may start at its launcher's, so the worker outgrows that
 own_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-stages = StageLog()
-with stages.timed("work"):
+record = RunRecord()
+with record.timed("work"):
     _, worker_peak = run_parts(part, [(0,), (int(own_peak) + 16,)])
 assert worker_peak > resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0 + 8
-assert stages.peak_rss_mb["work"] >= worker_peak, (stages.peak_rss_mb, worker_peak)
+assert record.peak_rss_mb["work"] >= worker_peak, (record.peak_rss_mb, worker_peak)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(tripsift.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
