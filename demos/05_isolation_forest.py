@@ -9,7 +9,7 @@ Run: python3 demos/05_isolation_forest.py
 
 import numpy as np
 
-from tripsift.iforest import fit, score_vectors, threshold_from_contamination
+from tripsift.iforest import fit, score_vectors
 
 N_INLIERS = 200
 N_OUTLIERS = 10
@@ -33,12 +33,6 @@ def main() -> None:
     for rank, idx in enumerate(order[:12], start=1):
         planted = "yes" if idx >= N_INLIERS else ""
         print(f"{rank:4d} {idx:6d} {scores[idx]:6.3f}   {planted}")
-
-    thr = threshold_from_contamination(scores, contamination=N_OUTLIERS / len(X))
-    flagged = int((scores >= thr).sum())
-    print()
-    print(f"contamination threshold at {N_OUTLIERS}/{len(X)}: {thr:.3f} "
-          f"({flagged} points at or above it)")
 
 
 if __name__ == "__main__":

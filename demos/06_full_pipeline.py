@@ -32,7 +32,6 @@ def run(base: Path, seed: int) -> None:
     result = run_pipeline(data.nodes_path, data.segments_path, data.trips_path,
                           base / "run", config)
     print(f"pipeline counts: {result.record.counts}")
-    print(f"contamination threshold: {result.contamination_threshold:.4f}")
     print()
 
     print(f"{'driver':>6s} {'mean':>7s} {'abn trips':>9s} {'rank':>5s}  classified")

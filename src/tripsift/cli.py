@@ -85,7 +85,6 @@ ANALYSIS_OPTIONS = _options(AnalysisConfig, {
     "alpha": "alpha",
     "seed": "rng_seed",
     "trip_threshold": "trip_score_threshold",
-    "contamination": "contamination",
     "top_fraction": "top_fraction",
     "trees": "n_trees",
     "subsample": "subsample_size",
@@ -104,8 +103,8 @@ MATCH_OPTIONS = {name: PIPELINE_OPTIONS[name]
                  for name in ("max_snap", "min_matched_fraction", "accel_threshold")}
 
 SCORE_OPTIONS = {name: PIPELINE_OPTIONS[name]
-                 for name in ("seed", "trees", "subsample", "trip_threshold", "contamination",
-                              "top_fraction", "per_category", "save_model")}
+                 for name in ("seed", "trees", "subsample", "trip_threshold", "top_fraction",
+                              "per_category", "save_model")}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -322,17 +321,25 @@ def cmd_score(args: argparse.Namespace) -> int:
     vals = resolve_options(args, SCORE_OPTIONS)
     out = Path(args.out)
     config = build_config(AnalysisConfig, ANALYSIS_OPTIONS, vals)
-    if args.model and vals["per_category"]:
-        raise ValueError("--per-category requires fitting and cannot be used with --model")
+    if args.model:
+        fit_only = [name for name in ("seed", "trees", "subsample") if getattr(args, name) is not None]
+        if vals["per_category"]:
+            fit_only.append("per_category")
+        if fit_only:
+            flags = ", ".join("--" + name.replace("_", "-") for name in fit_only)
+            raise ValueError(f"{flags}: fitting options cannot be used with --model")
     out.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.features)] + ([Path(args.model)] if args.model else [])
     with _ManifestWriter(out / "manifest.json", "score", vals, inputs) as manifest, \
             removed_on_failure() as written:
         table = read_feature_table(args.features)
+        model = load_model(args.model) if args.model else None
+        if model is not None:
+            # the manifest records the forest that scored, not the unused defaults
+            vals.update(seed=model.rng_seed, trees=model.n_trees, subsample=model.subsample_size)
         trip_scores, reports, _, _ = score_and_write(
             table, config, out, written, manifest.record,
-            per_category=vals["per_category"],
-            model=load_model(args.model) if args.model else None,
+            per_category=vals["per_category"], model=model,
             save_model_json=vals["save_model"])
         log.info("scored %d trips, %d drivers; outputs in %s", len(trip_scores), len(reports), out)
     return EXIT_OK

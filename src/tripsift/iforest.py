@@ -31,7 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -219,22 +218,6 @@ def score_vectors(model: IForestModel, X: np.ndarray) -> np.ndarray:
         total += leaf_value[idx]
     mean_paths = (total / model.n_trees).tolist()
     return np.array([score_from_mean_path(m, model.c_psi) for m in mean_paths], dtype=float)
-
-
-def threshold_from_contamination(scores: Sequence[float], contamination: float) -> float:
-    """Score threshold flagging the top contamination fraction.
-
-    Returns the score at the ceil(contamination * N)-th position of
-    the descending sort; points with score >= threshold are flagged.
-    When all scores are equal, everything is flagged.
-    """
-    arr = np.asarray(scores, dtype=float)
-    if arr.size == 0:
-        raise ValueError("no scores given")
-    if not 0.0 < contamination < 1.0:
-        raise ValueError("contamination must lie in (0, 1)")
-    k = math.ceil(contamination * arr.size)
-    return float(np.sort(arr)[::-1][k - 1])
 
 
 def save_model(model: IForestModel, path: str | Path) -> None:

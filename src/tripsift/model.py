@@ -91,7 +91,6 @@ class AnalysisConfig:
     alpha: float = 0.0                        # min trip length; trips kept iff length > alpha
     rng_seed: int = 0
     trip_score_threshold: float = 0.6         # trip labeled abnormal iff score >= this
-    contamination: float = 0.2                # diagnostic score-threshold quantile
     top_fraction: float = 0.2                 # fraction of drivers classified abnormal
     n_trees: int = 100
     subsample_size: int = 256                 # clamped to dataset size at fit time
@@ -106,8 +105,6 @@ class AnalysisConfig:
             raise ValueError("rng_seed must be a non-negative integer")
         if not 0.0 <= self.trip_score_threshold <= 1.0:
             raise ValueError("trip_score_threshold must lie in [0, 1]")
-        if not 0.0 < self.contamination < 1.0:
-            raise ValueError("contamination must lie in (0, 1)")
         if not 0.0 < self.top_fraction <= 1.0:
             raise ValueError("top_fraction must lie in (0, 1]")
         if self.n_trees < 1:

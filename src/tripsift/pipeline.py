@@ -33,7 +33,7 @@ import numpy as np
 
 from .features import FeatureTable, extract_feature_table, write_feature_table
 from .forked import process_count, run_parts
-from .iforest import IForestModel, save_model, threshold_from_contamination
+from .iforest import IForestModel, save_model
 from .ingest import parse_road_network, parse_trips, removed_on_failure
 from .matching import match_trip, trip_runs
 from .model import AnalysisConfig, RoadNetwork, Trip
@@ -81,14 +81,19 @@ class RunRecord:
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
     def render(self) -> dict[str, dict[str, Any]]:
-        """The record as summary.json and manifest.json both write it."""
-        return {
+        """The record as summary.json and manifest.json both write it; each
+        rejection tally only when its stage ran, so an empty one means that
+        stage rejected nothing."""
+        doc = {
             "counts": dict(self.counts),
             "stage_seconds": dict(self.seconds),
             "stage_peak_rss_mb": dict(self.peak_rss_mb),
-            "match_rejections": dict(self.match_rejections),
-            "rejection_reasons": dict(self.rejection_reasons),
         }
+        if "match" in self.seconds:
+            doc["match_rejections"] = dict(self.match_rejections)
+        if "ingest" in self.seconds:
+            doc["rejection_reasons"] = dict(self.rejection_reasons)
+        return doc
 
 
 @dataclass
@@ -99,7 +104,6 @@ class PipelineResult:
     trip_scores: list[TripScore]
     driver_reports: list[DriverReport]
     model: IForestModel
-    contamination_threshold: float
     outputs: dict[str, Path] = field(default_factory=dict)
 
 
@@ -113,13 +117,15 @@ def ingest_inputs(
 ) -> tuple[RoadNetwork, list[Trip]]:
     """Read the network and the trips (in up to `workers` processes); derive
     hard events when the trip file has none. Records points_read,
-    points_rejected, trips_parsed and the rejections by reason."""
+    points_rejected, trips_parsed, drivers_parsed (the distinct driver ids
+    among the parsed trips) and the rejections by reason."""
     with record.timed("ingest"):
         network = parse_road_network(nodes_path, segments_path)
         trips, report = parse_trips(trips_path, workers=workers)
     record.counts.update(points_read=report.n_points_read,
                          points_rejected=report.n_points_rejected,
-                         trips_parsed=report.n_trips)
+                         trips_parsed=report.n_trips,
+                         drivers_parsed=len({t.driver_id for t in trips}))
     record.rejection_reasons.update(report.rejection_reasons)
     log.info("ingest: %d points read, %d rejected, %d trips, %d segments",
              report.n_points_read, report.n_points_rejected, report.n_trips,
@@ -320,8 +326,6 @@ def _run(
     trip_scores, reports, model, outputs = score_and_write(
         table, config, out, written, record,
         per_category=per_category, save_model_json=save_model_json, workers=workers)
-    threshold = threshold_from_contamination([ts.score for ts in trip_scores],
-                                             config.contamination)
     outputs = {"features": out / "features.csv", **outputs, "summary": out / "summary.json"}
     written += [outputs["features"], outputs["summary"]]
     result = PipelineResult(
@@ -331,7 +335,6 @@ def _run(
         trip_scores=trip_scores,
         driver_reports=reports,
         model=model,
-        contamination_threshold=threshold,
         outputs=outputs,
     )
     # summary.json gets the stage times so far; these last writes reach only the manifest
@@ -345,14 +348,12 @@ def _write_summary(result: PipelineResult, path: Path) -> None:
     doc = {
         "config": asdict(result.config),
         **result.record.render(),
-        "contamination_threshold": result.contamination_threshold,
         "trips": [
             {
                 "driver_id": ts.driver_id,
                 "trip_id": ts.trip_id,
                 "score": ts.score,
                 "label": "abnormal" if ts.abnormal else "normal",
-                "contamination_flag": ts.score >= result.contamination_threshold,
                 **({"category_scores": ts.category_scores} if ts.category_scores else {}),
             }
             for ts in result.trip_scores

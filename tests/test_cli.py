@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -351,7 +352,8 @@ def test_match_manifest_counts_equal_pipeline_summary(tmp_path):
     manifest = json.loads((tmp_path / "match" / "manifest.json").read_text())
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert set(manifest["counts"]) == {"points_read", "points_rejected", "trips_parsed",
-                                       "points_matched", "trips_match_rejected"}
+                                       "drivers_parsed", "points_matched",
+                                       "trips_match_rejected"}
     assert manifest["counts"] == {name: summary["counts"][name] for name in manifest["counts"]}
     assert manifest["rejection_reasons"] == summary["rejection_reasons"] == {
         "non_numeric": 1, "trip_too_short": 1}
@@ -363,6 +365,14 @@ def test_run_record_ledger_adds_up(tmp_path):
     """Every point and trip read is accounted for once, by the reason it went."""
     data = generate_dataset(SynthSpec(rng_seed=1), tmp_path / "data")
     trips_path = ledger_copy(data, tmp_path)
+    # every point of driver 2 moved off the network: parsed, never ranked
+    lines = trips_path.read_text().splitlines()
+    lat = lines[0].split(",").index("lat")
+    rows = [line.split(",") for line in lines]
+    for row in rows[1:]:
+        if row[0] == "2":
+            row[lat] = repr(float(row[lat]) + 1.0)
+    trips_path.write_text("".join(",".join(row) + "\n" for row in rows))
     run = tmp_path / "run"
     # every default-spec trip is a whole number of 500 m edges, the shortest 1500 m
     assert main(["pipeline", "--network", str(tmp_path / "data"), "--trips", str(trips_path),
@@ -383,6 +393,10 @@ def test_run_record_ledger_adds_up(tmp_path):
               (run / "trip_scores.csv").read_text().splitlines()[1:]]
     assert counts["trips_scored"] == len(scored)
     assert counts["drivers"] == len(set(scored))
+    parsed_drivers = {trip.driver_id for trip in trips}
+    assert counts["drivers_parsed"] == len(parsed_drivers) == 18
+    assert parsed_drivers - {int(driver_id) for driver_id in scored} == {2}
+    assert counts["drivers_parsed"] - counts["drivers"] == 1
 
 
 @pytest.mark.parametrize("degraded", [False, True])
@@ -471,6 +485,66 @@ def test_score_subcommand_fit_and_reuse(tmp_path):
     (tmp_path / "crafted.json").write_text(json.dumps(crafted))
     assert main(["score", "--features", str(run / "features.csv"),
                  "--model", str(tmp_path / "crafted.json"), "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_score_with_model_records_the_model_forest(tmp_path):
+    """With --model the loaded forest scores, so fitting flags are refused and
+    the manifest's params name the model's seed, trees and subsample."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    assert main(["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
+                 "--seed", "3", "--trees", "20", "--save-model", "--out", str(run)]) == 0
+    score = ["score", "--features", str(run / "features.csv"), "--model", str(run / "model.json")]
+    for flag in (["--seed", "0"], ["--trees", "7"], ["--subsample", "16"]):
+        assert main(score + flag + ["--out", str(tmp_path / "bad")]) == 2
+    assert main(score + ["--out", str(tmp_path / "reused")]) == 0
+    params = json.loads((tmp_path / "reused" / "manifest.json").read_text())["params"]
+    assert (params["seed"], params["trees"], params["subsample"]) == (3, 20, 256)
+    assert ((tmp_path / "reused" / "trip_scores.csv").read_bytes()
+            == (run / "trip_scores.csv").read_bytes())
+
+
+def test_manifest_renders_only_the_tallies_of_stages_run(tmp_path):
+    """A rejection tally is written only by a command that ran its stage, so an
+    empty one means nothing was rejected; pipeline and match keep both."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    network = ["--network", str(data), "--trips", str(data / "trips.csv")]
+    assert main(["generate", "--out", str(data)] + GEN_ARGS) == 0
+    assert main(["pipeline"] + network + ["--out", str(run)]) == 0
+    assert main(["match"] + network + ["--out", str(tmp_path / "match")]) == 0
+    assert main(["score", "--features", str(run / "features.csv"),
+                 "--out", str(tmp_path / "scored")]) == 0
+    assert main(["evaluate", "--pred", str(run / "driver_report.csv"),
+                 "--truth", str(data / "truth.csv"), "--out", str(tmp_path / "m.json")]) == 0
+    tallies = {"match_rejections", "rejection_reasons"}
+    for path in (data / "manifest.json", tmp_path / "scored" / "manifest.json",
+                 tmp_path / "m.manifest.json"):
+        assert not tallies & set(json.loads(path.read_text())), path
+    for path in (run / "summary.json", run / "manifest.json", tmp_path / "match" / "manifest.json"):
+        doc = json.loads(path.read_text())
+        assert doc["match_rejections"] == doc["rejection_reasons"] == {}, path
+
+
+def test_contamination_is_no_longer_an_option(tmp_path, caplog):
+    data = tmp_path / "data"
+    assert main(["pipeline", "--network", str(data), "--trips", str(data / "trips.csv"),
+                 "--contamination", "0.2", "--out", str(tmp_path / "run")]) == 2
+    assert main(["score", "--features", str(tmp_path / "f.csv"), "--contamination", "0.2",
+                 "--out", str(tmp_path / "scored")]) == 2
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("contamination=0.2\n")
+    for command in (["pipeline", "--network", str(data), "--trips", str(data / "trips.csv")],
+                    ["score", "--features", str(tmp_path / "f.csv")]):
+        caplog.clear()
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config key(s): contamination" in caplog.text
+
+
+def test_analysis_options_map_config_fields_one_to_one():
+    """Each AnalysisConfig field has exactly one option, and each option sets a
+    field: a field without one would silently keep its default."""
+    params = [param for param, _, _ in ANALYSIS_OPTIONS.values()]
+    assert sorted(params) == sorted(f.name for f in fields(AnalysisConfig))
 
 
 def test_module_entrypoint_runs():

@@ -23,7 +23,6 @@ from tripsift.iforest import (
     save_model,
     score_from_mean_path,
     score_vectors,
-    threshold_from_contamination,
 )
 
 C_2 = 0.15443132979999996
@@ -145,21 +144,6 @@ def test_outliers_score_higher():
     model = fit(X, rng_seed=1)
     scores = score_vectors(model, X)
     assert scores[200:].min() > scores[:200].max()
-
-
-def test_threshold_from_contamination():
-    scores = [0.9, 0.5, 0.7, 0.8, 0.6]
-    assert threshold_from_contamination(scores, 0.2) == 0.9
-    assert threshold_from_contamination(scores, 0.4) == 0.8
-    # ceil: 0.3 * 5 = 1.5 rounds up to the 2nd highest
-    assert threshold_from_contamination(scores, 0.3) == 0.8
-    assert threshold_from_contamination([0.5, 0.5, 0.5], 0.2) == 0.5
-    with pytest.raises(ValueError, match="no scores"):
-        threshold_from_contamination([], 0.2)
-    with pytest.raises(ValueError, match="contamination"):
-        threshold_from_contamination(scores, 0.0)
-    with pytest.raises(ValueError, match="contamination"):
-        threshold_from_contamination(scores, 1.0)
 
 
 def test_score_vectors_validations():
