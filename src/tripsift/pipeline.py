@@ -116,9 +116,10 @@ def ingest_inputs(
     workers: int = 1,
 ) -> tuple[RoadNetwork, list[Trip]]:
     """Read the network and the trips (in up to `workers` processes); derive
-    hard events when the trip file has none. Records points_read,
-    points_rejected, trips_parsed, drivers_parsed (the distinct driver ids
-    among the parsed trips) and the rejections by reason."""
+    hard events when the trip file has none, in one detect_events call on
+    all trips' joined columns. Records points_read, points_rejected,
+    trips_parsed, drivers_parsed (the distinct driver ids among the parsed
+    trips) and the rejections by reason."""
     with record.timed("ingest"):
         network = parse_road_network(nodes_path, segments_path)
         trips, report = parse_trips(trips_path, workers=workers)
@@ -134,9 +135,12 @@ def ingest_inputs(
         if not report.has_event_columns and trips:
             log.info("no event columns in input; deriving hard events at %.1f m/s^2",
                      config.hard_event_accel_threshold)
-            for t in trips:
-                t.hard_accel, t.hard_brake = detect_events(
-                    t.timestamp, t.speed_mps, config.hard_event_accel_threshold)
+            starts = np.cumsum([0] + [len(t) for t in trips[:-1]])
+            flags = detect_events(np.concatenate([t.timestamp for t in trips]),
+                                  np.concatenate([t.speed_mps for t in trips]),
+                                  config.hard_event_accel_threshold, starts)
+            for t, hard_accel, hard_brake in zip(trips, *(np.split(f, starts[1:]) for f in flags)):
+                t.hard_accel, t.hard_brake = hard_accel, hard_brake
     return network, trips
 
 
@@ -273,11 +277,11 @@ def run_pipeline(
     runs of consecutive trips, runs of trees) computed at the same time,
     the first in this process and the others in forked children, and
     joined in order, so every output is the same for any workers. Events
-    run in this process, one trip after another; the minimum-length filter
-    and the features run in this process as array passes over the joined
-    graphs. The run's record is written into `record` when it is given,
-    so the caller keeps the times, peaks and counts of the stages that ran
-    when the run fails.
+    run in this process as one array pass over the joined trips; the
+    minimum-length filter and the features run in this process as array
+    passes over the joined graphs. The run's record is written into
+    `record` when it is given, so the caller keeps the times, peaks and
+    counts of the stages that ran when the run fails.
 
     Raises:
         ValueError: workers below 1.

@@ -60,8 +60,9 @@ def score_trips(
     The forest is fitted on the table unless a fitted `model` is given.
     A trip is abnormal iff score >= config.trip_score_threshold. With
     per_category, one additional forest is fitted per feature group on
-    that group's dimensions, seeded with rng_seed XOR group index. Every
-    fit grows its trees in up to `workers` processes.
+    that group's dimensions, with the same rng_seed and forest index
+    group index + 1 (the main forest's is 0), so no two forests share a
+    tree's stream. Every fit grows its trees in up to `workers` processes.
 
     Returns:
         (scores in table order, the full-feature model)
@@ -82,7 +83,7 @@ def score_trips(
         for group_index, (group, dims) in enumerate(FEATURE_GROUPS.items()):
             sub_model = fit(X[:, dims], n_trees=config.n_trees,
                             subsample_size=config.subsample_size,
-                            rng_seed=config.rng_seed ^ group_index, workers=workers)
+                            rng_seed=config.rng_seed, workers=workers, forest=group_index + 1)
             category_scores[group] = list(score_vectors(sub_model, X[:, dims]))
 
     out = []

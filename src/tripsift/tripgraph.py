@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -96,7 +96,8 @@ class TripGraph:
 
 
 def detect_events(
-    timestamp: np.ndarray, speed_mps: np.ndarray, accel_threshold: float
+    timestamp: np.ndarray, speed_mps: np.ndarray, accel_threshold: float,
+    starts: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Derive hard-event flags from speed differences, as (hard_accel, hard_brake).
 
@@ -106,6 +107,9 @@ def detect_events(
     hard_brake when it reaches -accel_threshold. The first point gets
     zeros, and pairs with zero time delta are skipped. The time delta is
     the exact integer difference, rounded once to float, as in Python.
+    When the columns join several trips, `starts` holds the index of each
+    trip's first point; those points get zeros too, so each trip's flags
+    equal those of a call on that trip alone.
     """
     timestamp = np.asarray(timestamp, dtype=np.int64)
     n = len(timestamp)
@@ -124,6 +128,9 @@ def detect_events(
     hard_brake = np.zeros(n, np.int64)
     hard_accel[1:] = moving & (accel >= accel_threshold)
     hard_brake[1:] = moving & (accel <= -accel_threshold)
+    if starts is not None:
+        hard_accel[starts] = 0
+        hard_brake[starts] = 0
     return hard_accel, hard_brake
 
 

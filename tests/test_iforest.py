@@ -7,6 +7,7 @@ written, from the same published formula evaluated in isolation.
 import json
 import math
 import warnings
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -279,3 +280,84 @@ def test_fit_in_processes_equals_one_process(case, workers):
                     rng_seed=model.rng_seed, workers=workers)
     assert split == model
     assert json.dumps(split.trees) == json.dumps(model.trees)
+
+
+def reference_tree(X, psi, max_depth, rng_seed, forest, i):
+    """Tree i of a forest grown one node at a time, in heap order, from the
+    documented draws: the subsample, then (u_dim, u_split) per splitting node."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed,
+                                                                      spawn_key=(forest, i))))
+    nodes = [None]
+    queue = deque([(0, X[rng.choice(len(X), size=psi, replace=False)], 0)])
+    while queue:
+        idx, rows, depth = queue.popleft()
+        lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        dims = [k for k in range(X.shape[1]) if math.nextafter(lo[k], hi[k]) < hi[k]]
+        if depth >= max_depth or not dims:
+            nodes[idx] = [-1, len(rows), depth]
+            continue
+        u_dim, u_split = rng.random(2).tolist()
+        dim = dims[int(u_dim * len(dims))]
+        a, b = lo[dim], hi[dim]
+        split = a * (1.0 - u_split) + b * u_split
+        if split <= a:
+            split = math.nextafter(a, b)
+        elif split >= b:
+            split = math.nextafter(b, a)
+        below = rows[:, dim] < split
+        left = len(nodes)
+        nodes[idx] = [dim, split, left, left + 1]
+        nodes += [None, None]
+        queue += [(left, rows[below], depth + 1), (left + 1, rows[~below], depth + 1)]
+    return nodes
+
+
+@st.composite
+def growth_cases(draw):
+    """A matrix whose columns hold ties, constants, signed zeros and ranges one
+    or two ulps wide, where only the nextafter clamps can place a split."""
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["levels", "constant", "zeros", "ulps",
+                                               "uniform"]), min_size=1, max_size=5)):
+        if kind == "levels":
+            values = np.arange(draw(st.integers(1, 5))) * rng.uniform(0.1, 10.0)
+        elif kind == "constant":
+            values = np.array([rng.uniform(-5.0, 5.0)])
+        elif kind == "zeros":
+            values = np.array([-0.0, 0.0, 5e-324, -5e-324])[:draw(st.integers(2, 4))]
+        elif kind == "ulps":
+            base = rng.uniform(-100.0, 100.0)
+            values = np.array([base, np.nextafter(base, np.inf),
+                               np.nextafter(np.nextafter(base, np.inf), np.inf)])
+            values = values[:draw(st.integers(2, 3))]
+        else:
+            values = rng.uniform(-1.0, 1.0, size=n)
+        columns.append(rng.choice(values, size=n))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=80, deadline=None)
+@given(X=growth_cases(), data=st.data())
+def test_level_grown_trees_equal_per_node_reference(X, data):
+    n_trees = data.draw(st.integers(1, 12))
+    subsample_size = data.draw(st.integers(2, len(X) + 3))
+    rng_seed = data.draw(st.integers(0, 2**32))
+    forest = data.draw(st.integers(0, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # an all-constant X warns
+        model = fit(X, n_trees=n_trees, subsample_size=subsample_size, rng_seed=rng_seed,
+                    forest=forest)
+    assert model.psi == min(subsample_size, len(X))
+    assert model.trees == [reference_tree(X, model.psi, model.max_depth, rng_seed, forest, i)
+                           for i in range(n_trees)]
+
+
+def test_seeds_grow_distinct_forests():
+    """No two of the seeds 0-7 grow the same multiset of trees."""
+    X = blob(64, 3, seed=6)
+    forests = {tuple(sorted(json.dumps(tree) for tree in
+                            fit(X, n_trees=4, subsample_size=16, rng_seed=seed).trees))
+               for seed in range(8)}
+    assert len(forests) == 8

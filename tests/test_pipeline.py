@@ -18,7 +18,7 @@ from tripsift.iforest import load_model
 from tripsift.matching import match_trip
 from tripsift.model import AnalysisConfig, RoadNode, RoadSegment
 from tripsift.pipeline import EmptyPipelineError, RunRecord, run_pipeline
-from tripsift.tripgraph import build_trip_graph
+from tripsift.tripgraph import build_trip_graph, detect_events
 
 CONFIG = AnalysisConfig(alpha=0.0)
 
@@ -32,9 +32,9 @@ def run(dataset, out, config=CONFIG, **kwargs):
 # must be deliberate and recorded
 SMALL_OUTPUT_DIGESTS = {
     "features": "61d968df30134ba3ef55524f3f6da1dba74f1375d4347b52e047bf895f083ac6",
-    "trip_scores": "2fbdad02745b5df7b97083e46c98a15ac63216f95bfaaff3fa0c52b2078c81bb",
-    "driver_report": "dd42d020a5922625fbd5ffc7b5d64e82a29fe3612cd123aca07442ea06c9bb51",
-    "model": "b5de6a73ae7f360e100816e4f40d8e42adbb1011140cf211851076763ba1a57b",
+    "trip_scores": "5cd85cc4b8dc51501db800bd45e9c251166de85333d778ae04279d9d82c150c3",
+    "driver_report": "07125aa1ffa9fcebcbc13b807dc5484c04b4e0f1baae3e0bf79baaef8cbcea41",
+    "model": "caa2844447edf8115ec93725f083e9e6e152df54a9d033e1a925c98277ca83cd",
 }
 
 
@@ -220,6 +220,12 @@ def test_events_derived_when_columns_missing(small_dataset, tmp_path):
     # speed steps planted by the generator are recovered as hard events
     events = [FEATURE_NAMES.index("brakes_per_km"), FEATURE_NAMES.index("accels_per_km")]
     assert (result.table.matrix[:, events] > 0).any()
+    # derived in one pass over all trips, each trip's flags as if derived alone
+    _, trips = pipeline.ingest_inputs(small_dataset.nodes_path, small_dataset.segments_path,
+                                      bare, CONFIG, RunRecord())
+    for trip in trips:
+        alone = detect_events(trip.timestamp, trip.speed_mps, CONFIG.hard_event_accel_threshold)
+        assert [trip.hard_accel.tolist(), trip.hard_brake.tolist()] == [f.tolist() for f in alone]
 
 
 def test_stage_that_raises_is_still_logged():

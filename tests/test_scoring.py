@@ -1,6 +1,7 @@
 """Trip scoring, driver ranking, and report CSV layout."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ def test_score_trips_order_and_model():
     for s in scores:
         assert s.abnormal == (s.score >= CONFIG.trip_score_threshold)
         assert s.category_scores is None
+
+
+def test_category_forests_draw_their_own_subsamples():
+    drawn = []
+
+    class Recording(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            sample = super().choice(*args, **kwargs)
+            drawn.append(frozenset(sample.tolist()))
+            return sample
+
+    config = AnalysisConfig(alpha=0.0, n_trees=8, subsample_size=16)
+    with mock.patch("numpy.random.Generator", Recording):
+        score_trips(make_table(n_drivers=10, trips_each=6), config, per_category=True)
+    main, categories = drawn[:8], drawn[8:]
+    assert len(categories) == 8 * len(FEATURE_GROUPS)
+    assert not set(main) & set(categories)
 
 
 def test_score_trips_requires_two():

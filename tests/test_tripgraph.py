@@ -129,6 +129,24 @@ def test_detect_events_exact_past_int64_range():
     assert (hard_accel.tolist(), hard_brake.tolist()) == ([0, 1], [0, 0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(trips=st.lists(st.lists(st.tuples(st.one_of(st.integers(-3, 3),
+                                                   st.integers(-2 ** 63, 2 ** 63 - 1)),
+                                         st.floats(-1e300, 1e300)),
+                               min_size=2, max_size=8),
+                      min_size=1, max_size=5),
+       threshold=st.floats(0.25, 10.0))
+def test_joined_trip_events_equal_per_trip_events(trips, threshold):
+    """One call on the joined columns of several trips, with each trip's first
+    index in `starts`, flags every trip as a call on that trip alone does,
+    through zero time deltas and stamp differences that wrap int64."""
+    per_trip = [detect_events(*zip(*trip), threshold) for trip in trips]
+    starts = np.cumsum([0] + [len(trip) for trip in trips[:-1]])
+    joined = detect_events(*zip(*[fix for trip in trips for fix in trip]), threshold, starts)
+    for flags, whole in zip(zip(*per_trip), joined):
+        assert np.concatenate(flags).tolist() == whole.tolist()
+
+
 def test_detect_events_requires_two_points():
     with pytest.raises(ValueError):
         detect_events([0], [10.0], 3.0)
