@@ -166,8 +166,8 @@ def build_config(owner: Callable, options: dict[str, Option], vals: dict[str, An
 
 # help text for options whose default alone does not explain them
 OPTION_NOTES = {"workers": "processes that read the trips file, match trips and build "
-                           "their graphs, and grow the forest, capped at the usable CPUs; "
-                           "outputs do not depend on it"}
+                           "their graphs, capped at the usable CPUs; outputs do not "
+                           "depend on it"}
 
 
 def _add_option_flags(parser: argparse.ArgumentParser, options: dict[str, Option]) -> None:

@@ -9,7 +9,7 @@ positive in truth, F1 is 0 when precision + recall is 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -38,14 +38,6 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
 
 
 def confusion(predicted: Mapping[int, bool], truth: Mapping[int, bool]) -> ConfusionCounts:
@@ -114,8 +106,7 @@ def read_driver_labels(path: str | Path, column: str) -> dict[int, bool]:
 
 def write_metrics_json(m: Metrics, counts: ConfusionCounts, path: str | Path) -> None:
     """Full-precision metrics plus the raw confusion counts."""
-    doc = m.to_dict()
-    doc["confusion"] = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn}
+    doc = {**asdict(m), "confusion": asdict(counts)}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -25,12 +25,11 @@ PCG64(SeedSequence(rng_seed, spawn_key=(f, i))), where f is fit's
 forest of feature group g (see scoring.score_trips). From it the tree
 draws its subsample first, then one block of uniforms per depth level, a
 pair for each of its nodes that splits there, in heap order. So a tree
-depends on its own stream only: not on the other trees, the build order,
-nor on how many processes grow the forest, and it draws in proportion to
-the nodes it grows.
+depends on its own stream only, not on the other trees or the build
+order, and it draws in proportion to the nodes it grows.
 
-fit grows the trees each process holds together, one depth level at a
-time: the rows of every node of the level sit node after node in one
+fit grows all the trees together in the calling process, one depth level
+at a time: the rows of every node of the level sit node after node in one
 array, each node's min and max per dim come from one reduceat, and the
 rows of each splitting node are reordered into its two children by one
 stable sort on the child index.
@@ -49,8 +48,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .forked import process_count, run_parts
 
 EULER_GAMMA = 0.5772156649
 
@@ -81,9 +78,9 @@ class IForestModel:
     trees: list[list[list[float]]]
 
 
-def _grow_trees(X: np.ndarray, first: int, stop: int, psi: int, rng_seed: int, forest: int,
+def _grow_trees(X: np.ndarray, n_trees: int, psi: int, rng_seed: int, forest: int,
                 max_depth: int) -> list[list[list[float]]]:
-    """Trees first..stop-1 of forest `forest`, grown together one depth level at a time.
+    """The n_trees trees of forest `forest`, grown together one depth level at a time.
 
     With (u_dim, u_split) its pair of uniforms from its tree's stream, a
     node splits on the floor(u_dim * k)-th of its k splittable dims, at
@@ -91,7 +88,7 @@ def _grow_trees(X: np.ndarray, first: int, stop: int, psi: int, rng_seed: int, f
     """
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed,
                                                                       spawn_key=(forest, i))))
-            for i in range(first, stop)]
+            for i in range(n_trees)]
     sample = np.concatenate([rng.choice(X.shape[0], size=psi, replace=False) for rng in rngs])
     # one row per dim, so each min and max reduces contiguous memory; the level's nodes are
     # in tree, then heap order, and `cols` holds their rows node after node (np.take gathers
@@ -162,7 +159,6 @@ def fit(
     n_trees: int = 100,
     subsample_size: int = 256,
     rng_seed: int = 0,
-    workers: int = 1,
     forest: int = 0,
 ) -> IForestModel:
     """Fit a forest on an (N, d) matrix of feature vectors.
@@ -171,10 +167,8 @@ def fit(
     uniform subsample without replacement and a depth cap of
     ceil(log2(psi)). Tree i draws from the stream keyed (forest, i)
     under rng_seed, so forests fitted with the same rng_seed but another
-    `forest` index draw independently. With workers above 1 the trees
-    are grown in up to that many runs of consecutive trees (no more than
-    the usable CPUs), the first here and the others in forked processes;
-    the model is the same for any workers.
+    `forest` index draw independently. All trees grow together in the
+    calling process.
 
     Raises:
         ValueError: fewer than 2 vectors, non-finite values, bad params.
@@ -200,11 +194,6 @@ def fit(
 
     psi = min(subsample_size, n)
     max_depth = math.ceil(math.log2(psi))
-    n_parts = min(process_count(workers), n_trees)
-    bounds = [k * n_trees // n_parts for k in range(n_parts + 1)]
-    parts = run_parts(_grow_trees, [(X, first, stop, psi, rng_seed, forest, max_depth)
-                                    for first, stop in zip(bounds, bounds[1:])])
-    trees = [tree for part in parts for tree in part]
     return IForestModel(
         n_trees=n_trees,
         subsample_size=subsample_size,
@@ -213,7 +202,7 @@ def fit(
         psi=psi,
         max_depth=max_depth,
         c_psi=average_path_length(psi),
-        trees=trees,
+        trees=_grow_trees(X, n_trees, psi, rng_seed, forest, max_depth),
     )
 
 

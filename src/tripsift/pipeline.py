@@ -5,12 +5,12 @@ subcommands also call on their own: ingest_inputs (network and trips,
 with hard events derived when the file has none), match_and_build
 (every trip matched and every matched trip's Edge-Attributed Matrix
 built, one run of consecutive trips at a time, in up to `workers`
-processes) and score_and_write (forest scores, driver ranking, score
-files). Each stage writes what it did into the run's RunRecord: its
-time, the peak RSS of the process and its worker processes as the stage
-ended (also when the stage raised), and its own counts and rejection
-tallies. RunRecord.render is the one form of the record that both
-summary.json and the CLI's manifest.json carry.
+processes) and score_and_write (forest fit and scores, driver ranking,
+score files, all in this process). Each stage writes what it did into
+the run's RunRecord: its time, the peak RSS of the process and its
+worker processes as the stage ended (also when the stage raised), and
+its own counts and rejection tallies. RunRecord.render is the one form
+of the record that both summary.json and the CLI's manifest.json carry.
 
 Outputs land in one directory: features.csv, trip_scores.csv,
 driver_report.csv, summary.json (and model.json on request). On any
@@ -54,7 +54,7 @@ class RunRecord:
     in MB when each stage last ended, the larger high-water mark
     (ru_maxrss, which Linux reports in KiB) of this process and of its
     waited-for children, which include the worker processes of
-    parse_trips, match_and_build and fit; the item counts each stage
+    parse_trips and match_and_build; the item counts each stage
     wrote; the ingest rejections by reason (points) and the matching
     rejections by reason (trips)."""
 
@@ -155,6 +155,7 @@ def match_and_build(
     `workers` processes; return the graphs, as one TripGraph, and each
     rejection as (reason, driver_id, trip_id, n_matched), both in input
     order. Records points_matched (over the matched trips),
+    drivers_matched (the distinct driver ids among the matched trips),
     trips_match_rejected and the rejections by reason.
 
     The trips are cut into parts of consecutive trips holding about equal
@@ -181,6 +182,7 @@ def match_and_build(
     if len(graphs.driver_id):
         record.add("graphs", graphs_seconds[0])
     record.counts.update(points_matched=int(graphs.n_points.sum()),
+                         drivers_matched=len(np.unique(graphs.driver_id)),
                          trips_match_rejected=len(rejected))
     for reason, driver_id, trip_id, _ in rejected:
         record.match_rejections[reason] = record.match_rejections.get(reason, 0) + 1
@@ -224,10 +226,9 @@ def score_and_write(
     per_category: bool = False,
     model: Optional[IForestModel] = None,
     save_model_json: bool = False,
-    workers: int = 1,
 ) -> tuple[list[TripScore], list[DriverReport], IForestModel, dict[str, Path]]:
-    """Score the trips (fitting a forest in up to `workers` processes unless
-    `model` is given), rank the drivers, and write trip_scores.csv,
+    """Score the trips (fitting a forest in this process unless `model` is
+    given), rank the drivers, and write trip_scores.csv,
     driver_report.csv and, with save_model_json, model.json into out. Each
     path is appended to `written` before it is opened. Records trips_scored
     and drivers.
@@ -238,8 +239,7 @@ def score_and_write(
     if len(table) < 2:
         raise EmptyPipelineError("fewer than 2 trips available to score")
     with record.timed("score"):
-        trip_scores, model = score_trips(table, config, per_category=per_category, model=model,
-                                         workers=workers)
+        trip_scores, model = score_trips(table, config, per_category=per_category, model=model)
         reports = aggregate_drivers(trip_scores, config)
     record.counts.update(trips_scored=len(trip_scores), drivers=len(reports))
     log.info("score: %d trips, %d drivers, %d drivers classified abnormal",
@@ -272,16 +272,16 @@ def run_pipeline(
     """Run the whole pipeline and write its outputs.
 
     `workers` processes, capped at the usable CPUs, read trips.csv, match
-    the trips and build their graphs, and grow the forest(s): each of
-    those stages splits into independent parts (byte ranges of the file,
-    runs of consecutive trips, runs of trees) computed at the same time,
-    the first in this process and the others in forked children, and
-    joined in order, so every output is the same for any workers. Events
-    run in this process as one array pass over the joined trips; the
-    minimum-length filter and the features run in this process as array
-    passes over the joined graphs. The run's record is written into
-    `record` when it is given, so the caller keeps the times, peaks and
-    counts of the stages that ran when the run fails.
+    the trips and build their graphs: each of those stages splits into
+    independent parts (byte ranges of the file, runs of consecutive
+    trips) computed at the same time, the first in this process and the
+    others in forked children, and joined in order, so every output is
+    the same for any workers. Events run in this process as one array
+    pass over the joined trips; the minimum-length filter and the
+    features run in this process as array passes over the joined graphs,
+    and the forest(s) grow and score in this process. The run's record is
+    written into `record` when it is given, so the caller keeps the
+    times, peaks and counts of the stages that ran when the run fails.
 
     Raises:
         ValueError: workers below 1.
@@ -329,7 +329,7 @@ def _run(
 
     trip_scores, reports, model, outputs = score_and_write(
         table, config, out, written, record,
-        per_category=per_category, save_model_json=save_model_json, workers=workers)
+        per_category=per_category, save_model_json=save_model_json)
     outputs = {"features": out / "features.csv", **outputs, "summary": out / "summary.json"}
     written += [outputs["features"], outputs["summary"]]
     result = PipelineResult(

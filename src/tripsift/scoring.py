@@ -53,7 +53,7 @@ class DriverReport:
 
 def score_trips(
     table: FeatureTable, config: AnalysisConfig, per_category: bool = False,
-    model: Optional[IForestModel] = None, workers: int = 1,
+    model: Optional[IForestModel] = None,
 ) -> tuple[list[TripScore], IForestModel]:
     """Score every trip in the table with one forest over all vectors.
 
@@ -62,7 +62,7 @@ def score_trips(
     per_category, one additional forest is fitted per feature group on
     that group's dimensions, with the same rng_seed and forest index
     group index + 1 (the main forest's is 0), so no two forests share a
-    tree's stream. Every fit grows its trees in up to `workers` processes.
+    tree's stream.
 
     Returns:
         (scores in table order, the full-feature model)
@@ -75,7 +75,7 @@ def score_trips(
     X = table.matrix
     if model is None:
         model = fit(X, n_trees=config.n_trees, subsample_size=config.subsample_size,
-                    rng_seed=config.rng_seed, workers=workers)
+                    rng_seed=config.rng_seed)
     scores = score_vectors(model, X)
 
     category_scores: dict[str, list[float]] = {}
@@ -83,7 +83,7 @@ def score_trips(
         for group_index, (group, dims) in enumerate(FEATURE_GROUPS.items()):
             sub_model = fit(X[:, dims], n_trees=config.n_trees,
                             subsample_size=config.subsample_size,
-                            rng_seed=config.rng_seed, workers=workers, forest=group_index + 1)
+                            rng_seed=config.rng_seed, forest=group_index + 1)
             category_scores[group] = list(score_vectors(sub_model, X[:, dims]))
 
     out = []

@@ -353,7 +353,7 @@ def test_match_manifest_counts_equal_pipeline_summary(tmp_path):
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert set(manifest["counts"]) == {"points_read", "points_rejected", "trips_parsed",
                                        "drivers_parsed", "points_matched",
-                                       "trips_match_rejected"}
+                                       "drivers_matched", "trips_match_rejected"}
     assert manifest["counts"] == {name: summary["counts"][name] for name in manifest["counts"]}
     assert manifest["rejection_reasons"] == summary["rejection_reasons"] == {
         "non_numeric": 1, "trip_too_short": 1}
@@ -397,6 +397,9 @@ def test_run_record_ledger_adds_up(tmp_path):
     assert counts["drivers_parsed"] == len(parsed_drivers) == 18
     assert parsed_drivers - {int(driver_id) for driver_id in scored} == {2}
     assert counts["drivers_parsed"] - counts["drivers"] == 1
+    # the drivers lost to matching (driver 2) and to --alpha (none) add up to those lost
+    assert counts["drivers_parsed"] - counts["drivers_matched"] == 1
+    assert counts["drivers_matched"] - counts["drivers"] == 0
 
 
 @pytest.mark.parametrize("degraded", [False, True])
@@ -442,8 +445,10 @@ def test_pipeline_help_says_what_workers_does(capsys, monkeypatch):
         end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("-"))
         text = " ".join(lines[start:end])
         assert "ignored" not in text
-        for phrase in ("processes", "trips file", "forest", "usable CPUs", "(default 1)"):
+        for phrase in ("processes", "trips file", "usable CPUs", "(default 1)"):
             assert phrase in text, columns
+        # the forest grows in the main process, whatever --workers says
+        assert "forest" not in text, columns
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

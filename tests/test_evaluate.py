@@ -92,6 +92,8 @@ def test_write_metrics_json(tmp_path):
     path = tmp_path / "metrics.json"
     write_metrics_json(metrics(counts), counts, path)
     doc = json.loads(path.read_text())
+    assert list(doc) == ["accuracy", "precision", "recall", "f1", "confusion"]
+    assert list(doc["confusion"]) == ["tp", "tn", "fp", "fn"]
     assert doc["f1"] == pytest.approx(0.5, abs=1e-12)
     assert doc["accuracy"] == pytest.approx(14 / 18, abs=1e-12)
     assert doc["confusion"] == {"tp": 2, "tn": 12, "fp": 3, "fn": 1}

@@ -8,14 +8,12 @@ import json
 import math
 import warnings
 from collections import deque
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsift import iforest
 from tripsift.iforest import (
     IForestModel,
     average_path_length,
@@ -268,18 +266,6 @@ def test_walk_ignores_stated_max_depth(tmp_path):
     model = load_model(path)
     X = np.array([[0.2, 0.9], [0.6, 0.1], [0.6, 0.9], [0.9, 0.9], [0.7, 0.6]])
     assert np.array_equal(score_vectors(model, X), oracle_scores(model, X))
-
-
-@settings(max_examples=30, deadline=None)
-@given(case=forest_cases(), workers=st.integers(2, 4))
-def test_fit_in_processes_equals_one_process(case, workers):
-    model, X, _ = case
-    with mock.patch.object(iforest, "process_count", lambda w: w), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        split = fit(X, n_trees=model.n_trees, subsample_size=model.subsample_size,
-                    rng_seed=model.rng_seed, workers=workers)
-    assert split == model
-    assert json.dumps(split.trees) == json.dumps(model.trees)
 
 
 def reference_tree(X, psi, max_depth, rng_seed, forest, i):
