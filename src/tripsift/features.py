@@ -116,7 +116,7 @@ def extract_feature_table(graph: TripGraph) -> FeatureTable:
 
 def write_feature_table(table: FeatureTable, path: str | Path) -> None:
     write_csv(path, FEATURE_TABLE_COLUMNS,
-              ([driver_id, trip_id] + [repr(v) for v in values]
+              ([driver_id, trip_id, *values]
                for (driver_id, trip_id), values in zip(table.keys, table.matrix.tolist())))
 
 

@@ -34,10 +34,8 @@ log = logging.getLogger(__name__)
 
 NODE_COLUMNS = ["node_id", "lat", "lon"]
 SEGMENT_COLUMNS = ["segment_id", "from_node", "to_node"]
-TRAJECTORY_COLUMNS = [
-    "driver_id", "trip_id", "point_id", "timestamp",
-    "lat", "lon", "speed_mps", "cog_deg",
-]
+# the columns a trips.csv header must name; point_id may come too, and is ignored
+TRAJECTORY_COLUMNS = ["driver_id", "trip_id", "timestamp", "lat", "lon", "speed_mps", "cog_deg"]
 EVENT_COLUMNS = ["hard_accel", "hard_brake"]
 
 
@@ -413,12 +411,14 @@ def _join_parts(parts: list[tuple]) -> tuple[np.ndarray, dict[str, np.ndarray], 
 def parse_trips(path: str | Path, workers: int = 1) -> tuple[list[Trip], IngestReport]:
     """Read a trajectory CSV into columnar trips grouped by (driver_id, trip_id).
 
-    Rows are read and converted BLOCK_ROWS at a time, with Python's int
-    and float, so a field is numeric exactly when those accept it;
-    integer fields must also fit int64; an unparsable record or undecodable
-    bytes are not numeric either. Each row gets the first reason
-    code that applies, checked in this order: bad_field_count (fewer
-    fields than the header), non_numeric, lat_out_of_range,
+    Only the TRAJECTORY_COLUMNS and, when the header has both, the
+    EVENT_COLUMNS are read; any other column, point_id among them, is
+    ignored. Rows are read and converted BLOCK_ROWS at a time, with
+    Python's int and float, so a field is numeric exactly when those
+    accept it; integer fields must also fit int64; an unparsable record
+    or undecodable bytes are not numeric either. Each row gets the first
+    reason code that applies, checked in this order: bad_field_count
+    (fewer fields than the header), non_numeric, lat_out_of_range,
     lon_out_of_range, speed_out_of_range, direction_out_of_range,
     negative_event_count, duplicate_timestamp (the first row in file
     order of a (driver, trip, timestamp) key wins). Blank lines are not
@@ -436,25 +436,23 @@ def parse_trips(path: str | Path, workers: int = 1) -> tuple[list[Trip], IngestR
     has_events = parts[0][0]
     code, col, row_index, blanks = _join_parts(parts)
     del parts
-    for name in EVENT_COLUMNS:
-        col.setdefault(name, np.zeros(len(col["timestamp"]), np.int64))
 
     # a stable sort keeps equal (driver, trip, timestamp) keys in file order,
-    # so the first of them is the one kept; columns are reordered one at a time
+    # so the first of them is the one kept
     order = np.lexsort((col["timestamp"], col["trip_id"], col["driver_id"]))
-    for name in col:
-        col[name] = col[name][order]
-    driver, trip, stamp = col["driver_id"], col["trip_id"], col["timestamp"]
+    driver, trip, stamp = (col[name][order] for name in ("driver_id", "trip_id", "timestamp"))
     new_trip = np.ones(len(order), bool)
     new_trip[1:] = (driver[1:] != driver[:-1]) | (trip[1:] != trip[:-1])
     duplicate = np.zeros(len(order), bool)
     duplicate[1:] = ~new_trip[1:] & (stamp[1:] == stamp[:-1])
     code[row_index[order[duplicate]]] = _CODE["duplicate_timestamp"]
-    keep = ~duplicate
-    del driver, trip, stamp, order, row_index     # so each old column is freed when replaced
-    for name in col:
-        col[name] = col[name][keep]
-    bounds = np.append(np.flatnonzero(new_trip[keep]), len(col["timestamp"]))
+    kept = order[~duplicate]
+    bounds = np.append(np.flatnonzero(new_trip[~duplicate]), len(kept))
+    del driver, trip, stamp, order, row_index
+    for name in col:    # one column at a time, so each old column is freed when replaced
+        col[name] = col[name][kept]
+    for name in EVENT_COLUMNS:
+        col.setdefault(name, np.zeros(len(kept), np.int64))
 
     report = IngestReport(has_event_columns=has_events, n_points_read=len(code))
     present, first = np.unique(code, return_index=True)
@@ -482,14 +480,12 @@ def parse_trips(path: str | Path, workers: int = 1) -> tuple[list[Trip], IngestR
 
 
 def write_trips(trips: Iterable[Trip], path: str | Path) -> None:
-    """Write trips to the trajectory CSV schema, event columns included."""
-    # tolist gives Python ints and floats, whose repr the schema uses
-    write_csv(path, TRAJECTORY_COLUMNS + EVENT_COLUMNS, chain.from_iterable(
-        zip(repeat(trip.driver_id, len(trip)), repeat(trip.trip_id, len(trip)),
-            trip.point_id.tolist(), trip.timestamp.tolist(),
-            map(repr, trip.lat.tolist()), map(repr, trip.lon.tolist()),
-            map(repr, trip.speed_mps.tolist()), map(repr, trip.cog_deg.tolist()),
-            trip.hard_accel.tolist(), trip.hard_brake.tolist())
+    """Write trips to the trajectory CSV schema, event columns included,
+    with each point's 0-based index within its trip as its point_id."""
+    # tolist gives Python ints and floats, which csv writes as their repr
+    write_csv(path, ["driver_id", "trip_id", "point_id", *TRIP_COLUMNS], chain.from_iterable(
+        zip(repeat(trip.driver_id, len(trip)), repeat(trip.trip_id, len(trip)), range(len(trip)),
+            *(getattr(trip, name).tolist() for name in TRIP_COLUMNS))
         for trip in trips))
 
 

@@ -13,8 +13,7 @@ if TYPE_CHECKING:
 
 
 # the per-point columns of a Trip, and those of them that hold floats (the rest hold int64)
-TRIP_COLUMNS = ("point_id", "timestamp", "lat", "lon", "speed_mps", "cog_deg",
-                "hard_accel", "hard_brake")
+TRIP_COLUMNS = ("timestamp", "lat", "lon", "speed_mps", "cog_deg", "hard_accel", "hard_brake")
 FLOAT_COLUMNS = ("lat", "lon", "speed_mps", "cog_deg")
 
 
@@ -24,12 +23,12 @@ class Trip:
     strictly increasing timestamp order.
 
     Timestamps are integer epoch seconds and courses over ground lie in
-    [0, 360). The FLOAT_COLUMNS are float64 and the rest int64.
+    [0, 360). The FLOAT_COLUMNS are float64 and the rest int64. A point
+    has no id: its place in the columns is all that names it.
     """
 
     driver_id: int
     trip_id: int
-    point_id: np.ndarray
     timestamp: np.ndarray
     lat: np.ndarray
     lon: np.ndarray

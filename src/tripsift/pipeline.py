@@ -182,7 +182,7 @@ def match_and_build(
     if len(graphs.driver_id):
         record.add("graphs", graphs_seconds[0])
     record.counts.update(points_matched=int(graphs.n_points.sum()),
-                         drivers_matched=len(np.unique(graphs.driver_id)),
+                         drivers_matched=len(set(graphs.driver_id.tolist())),
                          trips_match_rejected=len(rejected))
     for reason, driver_id, trip_id, _ in rejected:
         record.match_rejections[reason] = record.match_rejections.get(reason, 0) + 1

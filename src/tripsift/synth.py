@@ -255,8 +255,7 @@ def sample_points(
             break
         pos = min(end, pos + speed * spec.sample_period_s)
     steps = np.arange(len(lats), dtype=np.int64)
-    return Trip(driver_id, trip_id, point_id=steps,
-                timestamp=start_time + spec.sample_period_s * steps,
+    return Trip(driver_id, trip_id, timestamp=start_time + spec.sample_period_s * steps,
                 lat=np.array(lats), lon=np.array(lons), speed_mps=np.array(speeds),
                 cog_deg=np.array(cogs), hard_accel=np.array(accels, dtype=np.int64),
                 hard_brake=np.array(brakes, dtype=np.int64))

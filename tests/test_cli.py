@@ -559,6 +559,31 @@ def test_module_entrypoint_runs():
     assert "tripsift" in proc.stdout
 
 
+NUMPY_IMPORTS = """
+import sys
+import tripsift.cli
+before = set(sys.modules)
+assert tripsift.cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted({name.split(".")[1] for name in set(sys.modules) - before
+                       if name.startswith("numpy.")})))
+"""
+
+
+@pytest.mark.parametrize("command,subpackages", [("pipeline", ["random"]), ("match", [])])
+def test_run_imports_no_numpy_subpackage_it_does_not_use(small_dataset, tmp_path,
+                                                           command, subpackages):
+    """A fresh run imports no numpy subpackage beyond numpy.random, which the
+    forest's streams need. (np.unique without return_* flags imports numpy.ma,
+    about 14 ms on first use.)"""
+    env = {**os.environ, "PYTHONPATH": str(Path(tripsift.__file__).parents[1])}
+    argv = [command, "--network", str(small_dataset.nodes_path.parent),
+            "--trips", str(small_dataset.trips_path), "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_IMPORTS, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == subpackages
+
+
 def test_no_flags_resolve_to_dataclass_defaults():
     parser = build_parser()
     gen = resolve_options(parser.parse_args(["generate", "--out", "d"]), GENERATE_OPTIONS)

@@ -3,6 +3,7 @@
 import ast
 import csv
 import logging
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -171,7 +172,7 @@ def test_parse_trips_one_sided_event_column_rejected(tmp_path):
     # integer fields must fit int64
     ("1,1,0,9223372036854775808,40.0,-86.0,10.0,90.0", "non_numeric"),
     ("12345678901234567890,1,0,100,40.0,-86.0,10.0,90.0", "non_numeric"),
-    ("1,1,-9223372036854775809,100,40.0,-86.0,10.0,90.0", "non_numeric"),
+    ("1,-9223372036854775809,0,100,40.0,-86.0,10.0,90.0", "non_numeric"),
 ])
 def test_parse_trips_rejection_reasons(tmp_path, row, reason):
     path = write(tmp_path / "t.csv", trip_rows(
@@ -183,6 +184,29 @@ def test_parse_trips_rejection_reasons(tmp_path, row, reason):
     assert report.rejection_reasons == {reason: 1}
     assert report.n_points_rejected == 1
     assert len(trips) == 1 and len(trips[0]) == 2
+
+
+@pytest.mark.parametrize("point_id", ["abc", "1.5", "", "-9223372036854775809"])
+def test_parse_trips_ignores_point_id(tmp_path, point_id):
+    # point_id is not read, so no value of it rejects a row
+    path = write(tmp_path / "t.csv", trip_rows(
+        f"1,1,{point_id},100,40.0,-86.0,10.0,90.0",
+        "1,1,1,110,40.0,-85.999,10.0,90.0",
+    ))
+    trips, report = parse_trips(path)
+    assert report.n_points_rejected == 0
+    assert trips[0].timestamp.tolist() == [100, 110]
+
+
+def test_parse_trips_without_point_id_column(tmp_path):
+    path = write(tmp_path / "t.csv",
+                 "driver_id,trip_id,timestamp,lat,lon,speed_mps,cog_deg\n"
+                 "1,1,101,40.0,-85.999,10.0,90.0\n"
+                 "1,1,100,40.0,-86.0,10.0,90.0\n")
+    trips, report = parse_trips(path)
+    assert report.n_points_rejected == 0
+    assert trips[0].timestamp.tolist() == [100, 101]
+    assert trips[0].lon.tolist() == [-86.0, -85.999]
 
 
 def test_parse_trips_negative_event_count(tmp_path):
@@ -225,13 +249,17 @@ def test_parse_trips_empty_file(tmp_path):
 
 
 def test_write_trips_roundtrip(tmp_path):
-    trip = Trip(3, 7, point_id=np.array([0, 1]), timestamp=np.array([1000, 1001]),
+    trip = Trip(3, 7, timestamp=np.array([1000, 1001]),
                 lat=np.array([40.123456789, 40.123457]),
                 lon=np.array([-86.000000123, -86.0000002]),
                 speed_mps=np.array([12.5, 12.25]), cog_deg=np.array([359.25, 0.0]),
                 hard_accel=np.array([0, 1]), hard_brake=np.array([1, 0]))
     path = tmp_path / "out.csv"
     write_trips([trip], path)
+    # each point's index within its trip is written as its point_id
+    with read_csv(path, ["point_id"]) as (header, records):
+        assert header == ["driver_id", "trip_id", "point_id", *TRIP_COLUMNS]
+        assert [row[2] for _, row in records] == ["0", "1"]
     trips, report = parse_trips(path)
     assert report.has_event_columns
     assert (trips[0].driver_id, trips[0].trip_id) == (3, 7)
@@ -321,8 +349,9 @@ def test_parse_trips_random_rows_never_raise(case):
 
 def reference_parse_trips(path):
     """The row-at-a-time reader that parse_trips replaced, kept as its
-    reference, with one rule added: integer fields outside int64 are
-    non_numeric. Returns ([(driver_id, trip_id, {column: values})], report)."""
+    reference, with two rules changed: integer fields outside int64 are
+    non_numeric, and point_id is not read. Returns
+    ([(driver_id, trip_id, {column: values})], report)."""
     def int64(text):
         value = int(text)
         if not INT64_MIN <= value <= INT64_MAX:
@@ -352,7 +381,6 @@ def reference_parse_trips(path):
             try:
                 driver_id = int64(row[col["driver_id"]])
                 trip_id = int64(row[col["trip_id"]])
-                point_id = int64(row[col["point_id"]])
                 timestamp = int64(row[col["timestamp"]])
                 lat = float(row[col["lat"]])
                 lon = float(row[col["lon"]])
@@ -385,11 +413,11 @@ def reference_parse_trips(path):
                 continue
             stamps.add(timestamp)
             groups.setdefault(key, []).append(
-                (point_id, timestamp, lat, lon, speed, cog, hard_accel, hard_brake))
+                (timestamp, lat, lon, speed, cog, hard_accel, hard_brake))
 
     trips = []
     for key in sorted(groups):
-        points = sorted(groups[key], key=lambda p: p[1])
+        points = sorted(groups[key], key=lambda p: p[0])
         if len(points) < 2:
             report.n_points_rejected += len(points)
             report.rejection_reasons["trip_too_short"] += len(points)
@@ -586,6 +614,20 @@ def test_write_csv_read_csv_roundtrip(table):
     assert read_header == header
     assert [fields for _, fields in read] == rows
     assert [lineno for lineno, _ in read] == list(range(2, len(rows) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=8))
+@example([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf])
+@example([0.1, 1e16, 1e-05, 123456789.123456789, 1.7976931348623157e308])
+def test_write_csv_writes_floats_as_repr(values):
+    # write_trips and write_feature_table leave float formatting to csv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, ["x"], ([v] for v in values))
+        text = path.read_bytes().decode()
+    assert text.split("\r\n") == ["x", *map(repr, values), ""]
 
 
 def read_nodes(path):

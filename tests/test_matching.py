@@ -285,7 +285,7 @@ def line_trip(latlons, cogs, driver=1, trip=1):
     """A trip through these fixes at 10 m/s, one a second from t = 100, with no events."""
     n = len(latlons)
     lat, lon = np.array(latlons, dtype=np.float64).reshape(n, 2).T
-    return Trip(driver, trip, point_id=np.arange(n), timestamp=100 + np.arange(n),
+    return Trip(driver, trip, timestamp=100 + np.arange(n),
                 lat=lat, lon=lon, speed_mps=np.full(n, 10.0),
                 cog_deg=np.array(cogs, dtype=np.float64),
                 hard_accel=np.zeros(n, np.int64), hard_brake=np.zeros(n, np.int64))

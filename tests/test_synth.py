@@ -84,7 +84,6 @@ def test_sample_points_walks_the_route():
     trip = sample_points(world, 1, 1, path, start_time=1000, rng=rng)
     assert len(trip) == pytest.approx(3 * 500.0 / 12.0, abs=3)
     assert trip.timestamp.tolist() == list(range(1000, 1000 + len(trip)))
-    assert trip.point_id.tolist() == list(range(len(trip)))
     assert all(speed == 12.0 for speed in trip.speed_mps.tolist())
     # jitter disabled: course equals the eastbound edge bearing
     for cog in trip.cog_deg.tolist():

@@ -47,7 +47,7 @@ def trip_of_rows(rows, trip_id=1):
 
 def mp(seg, direction, ts, speed=10.0, cog=90.0, brake=0, accel=0, lat=40.0, lon=-86.0):
     """One matched point: the fix as a trip row, and the directed edge key it snapped to."""
-    return (ts, 100 + ts, lat, lon, speed, cog, accel, brake), (seg, direction)
+    return (100 + ts, lat, lon, speed, cog, accel, brake), (seg, direction)
 
 
 def snap(segment_id, distance_m, lat, lon):
@@ -272,7 +272,7 @@ def square_trips(draw):
         for _ in range(n):
             ts = len(rows)
             rows.append((
-                ts, 100 + ts, 40.0, -86.0,
+                100 + ts, 40.0, -86.0,
                 draw(st.floats(0.0, 40.0)),
                 draw(st.floats(0.0, 360.0, exclude_max=True)),
                 draw(st.integers(0, 1)),
@@ -282,7 +282,7 @@ def square_trips(draw):
     first = snap_on(edges[0][0], draw(st.floats(0.0, 1.0)))
     last = snap_on(edges[-1][0], draw(st.floats(0.0, 1.0)))
     # one more fix that did not snap, so that a trip can have a single matched point
-    unmatched = (len(rows), 100 + len(rows), 41.0, -86.0, 10.0, 0.0, 0, 0)
+    unmatched = (100 + len(rows), 41.0, -86.0, 10.0, 0.0, 0, 0)
     return MatchedTrip([trip_of_rows(rows + [unmatched])], np.arange(len(rows)),
                        np.array([seg for seg, _ in edges]),
                        np.array([direction for _, direction in edges]), first, last,
